@@ -88,13 +88,14 @@ load-check:
 	$(GO) test ./internal/serve/ -run 'TestOptionsValidate|TestNewRejectsBadOptions|TestBatcher' -count=1
 
 # precision-check runs the float32 fast-path gates: the SIMD kernels
-# pinned bit-for-bit against their scalar references, f32 kernel
-# equivalence across thread counts and attention layouts, checkpoint
-# downcast round-trips, the f32-vs-f64 differential suite under the ULP
-# envelope, and the serve-side -precision f32 end-to-end tests (including
-# degraded-mode fallback to float64).
+# pinned bit-for-bit against their scalar references, the head-major f32
+# attention kernels pinned bit-for-bit against a serial node-major
+# reference at one and several threads, checkpoint downcast round-trips,
+# the f32-vs-f64 differential suite under the ULP envelope, and the
+# serve-side -precision f32 end-to-end tests (including degraded-mode
+# fallback to float64).
 precision-check:
-	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestAttention32LayoutsBitIdentical' -count=1
+	$(GO) test ./internal/tensor/ -run 'TestSIMDKernelsMatchReference|TestULPDistance32|TestMeasureDivergence|TestKernels32MatchF64|TestFusedSegmentAttention32MatchesF64|TestAttention32MatchesNodeMajorExactly' -count=1
 	$(GO) test ./internal/models/ -run 'F32' -count=1
 	$(GO) test ./internal/train/ -run 'TestCheckpointDowncast' -count=1
 	$(GO) test ./internal/serve/ -run 'TestOptionsPrecisionValidate|TestPrecision' -count=1
@@ -119,7 +120,7 @@ sparsify-check:
 # gates (numbers are machine-relative; every record carries its host):
 #
 #   BENCH_tensor.json     bench-compute    tensor kernels, f64 vs f32 fast path
-#   BENCH_attention.json  bench-attention  fused vs staged attention
+#   BENCH_attention.json  bench-attention  fused kernels vs the staged test oracle
 #   BENCH_dist.json       bench-dist       shard-parallel halo exchange at k ∈ {1,2,4}
 #   BENCH_dynamic.json    bench-dynamic    incremental repair vs full re-preprocess
 #   BENCH_serve.json      bench-serve      p99-SLO serving capacity autotune
@@ -131,14 +132,16 @@ bench: bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-
 
 # bench-compute regenerates the tensor-kernel numbers recorded in
 # BENCH_tensor.json: serial-vs-parallel float64 baselines plus the float32
-# fast-path kernels in both attention scratch layouts (fixed iteration
-# count for comparable runs).
+# fast-path kernels, attention in its head-major scratch layout (fixed
+# iteration count for comparable runs).
 bench-compute:
 	BENCH_TENSOR_OUT=$(CURDIR)/BENCH_tensor.json $(GO) test ./internal/tensor/ -run TestWriteBenchTensor -count=1 -v -benchtime 5x
 
 # bench-attention regenerates the fused-vs-staged attention numbers
-# recorded in BENCH_attention.json (fixed iteration count for comparable
-# runs; -benchmem because allocation counts are half the claim).
+# recorded in BENCH_attention.json: the production fused kernels against
+# the staged pipeline kept as a test-only oracle (fixed iteration count
+# for comparable runs; -benchmem because allocation counts are half the
+# claim).
 bench-attention:
 	$(GO) test ./internal/models/ -run '^$$' -bench 'Attention' -benchtime 20x -benchmem
 
@@ -169,11 +172,10 @@ bench-serve:
 
 # bench-precision regenerates the float32 fast-path numbers recorded in
 # BENCH_precision.json: serve-side f32-vs-f64 throughput per workload
-# class (interleaved min-of-chunks timing), the attention-layout
-# comparison, and the measured ULP/relative-error divergence — asserted
-# inside the envelope on every run, with the ≥1.5× acceptance bar on full
-# runs. BENCH_PRECISION_FAST=1 (the CI smoke) shrinks the timed rounds
-# and skips the speedup bar.
+# class (interleaved min-of-chunks timing) and the measured
+# ULP/relative-error divergence — asserted inside the envelope on every
+# run, with the ≥1.5× acceptance bar on full runs. BENCH_PRECISION_FAST=1
+# (the CI smoke) shrinks the timed rounds and skips the speedup bar.
 bench-precision:
 	BENCH_PRECISION_OUT=$(CURDIR)/BENCH_precision.json $(GO) test ./internal/serve/ -run TestWriteBenchPrecision -count=1 -v -timeout 30m
 

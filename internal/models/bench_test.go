@@ -1,7 +1,6 @@
 package models
 
 import (
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -108,7 +107,6 @@ func benchAttentionContext(b *testing.B, engine EngineKind) *Context {
 func benchAttentionGT(b *testing.B, engine EngineKind, fused bool) {
 	ctx := benchAttentionContext(b, engine)
 	const d, heads = 64, 4
-	dk := d / heads
 	rng := rand.New(rand.NewSource(7))
 	qh := tensor.Randn(rng, ctx.NumRows, d, 0.5).RequireGrad()
 	kh := tensor.Randn(rng, ctx.NumRows, d, 0.5).RequireGrad()
@@ -123,22 +121,8 @@ func benchAttentionGT(b *testing.B, engine EngineKind, fused bool) {
 		if fused {
 			att, edgeAvg = ctx.FusedGTAttention(qh, kh, vh, eh, heads)
 		} else {
-			qp := ctx.GatherRecv(qh)
-			kp := ctx.GatherSend(kh)
-			vp := ctx.GatherSend(vh)
-			ep := ctx.GatherEdges(eh)
-			kmod := tensor.Mul(kp, ep)
-			headOuts := make([]*tensor.Tensor, heads)
-			scale := 1 / math.Sqrt(float64(dk))
-			for a := 0; a < heads; a++ {
-				qa := tensor.NarrowCols(qp, a*dk, dk)
-				ka := tensor.NarrowCols(kmod, a*dk, dk)
-				va := tensor.NarrowCols(vp, a*dk, dk)
-				score := tensor.Scale(tensor.RowDot(qa, ka), scale)
-				alpha := ctx.SegmentSoftmaxByRecv(score)
-				headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
-			}
-			att = tensor.ConcatCols(headOuts...)
+			var kmod *tensor.Tensor
+			att, kmod = stagedGTAttention(ctx, qh, kh, vh, eh, heads)
 			edgeAvg = ctx.EdgeMean(kmod)
 		}
 		tensor.Add(tensor.Sum(att), tensor.Sum(edgeAvg)).Backward()
@@ -154,7 +138,6 @@ func benchAttentionGT(b *testing.B, engine EngineKind, fused bool) {
 func benchAttentionGAT(b *testing.B, engine EngineKind, fused bool) {
 	ctx := benchAttentionContext(b, engine)
 	const d, heads = 64, 4
-	dk := d / heads
 	rng := rand.New(rand.NewSource(8))
 	wh := tensor.Randn(rng, ctx.NumRows, d, 0.5).RequireGrad()
 	aL := tensor.Randn(rng, 1, d, 0.1).RequireGrad()
@@ -168,21 +151,7 @@ func benchAttentionGAT(b *testing.B, engine EngineKind, fused bool) {
 		if fused {
 			att = ctx.FusedGATAttention(wh, aL, aR, heads)
 		} else {
-			sL := tensor.Mul(wh, broadcastRow(aL, wh.Rows()))
-			sR := tensor.Mul(wh, broadcastRow(aR, wh.Rows()))
-			whSend := ctx.GatherSend(wh)
-			sLr := ctx.GatherRecv(sL)
-			sRs := ctx.GatherSend(sR)
-			headOuts := make([]*tensor.Tensor, heads)
-			for a := 0; a < heads; a++ {
-				lhs := tensor.RowSum(tensor.NarrowCols(sLr, a*dk, dk))
-				rhs := tensor.RowSum(tensor.NarrowCols(sRs, a*dk, dk))
-				score := ctx.Act(leakyReLU, tensor.Add(lhs, rhs))
-				alpha := ctx.SegmentSoftmaxByRecv(score)
-				va := tensor.NarrowCols(whSend, a*dk, dk)
-				headOuts[a] = ctx.AggregateByRecv(tensor.MulColVec(va, alpha))
-			}
-			att = tensor.ConcatCols(headOuts...)
+			att = stagedGATAttention(ctx, wh, aL, aR, heads)
 		}
 		tensor.Sum(att).Backward()
 	}

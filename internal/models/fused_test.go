@@ -30,19 +30,26 @@ func equivContexts(t *testing.T) map[string]*Context {
 	return map[string]*Context{"mega": megaCtx, "dgl": dglCtx}
 }
 
-// newAttnModel builds a GT or GAT with the given attention mode.
+// newAttnModel builds a GT or GAT; mode "staged" wraps it in the staged
+// oracle of staged_test.go, "fused" returns the production model.
 func newAttnModel(t *testing.T, name, mode string) Model {
 	t.Helper()
-	cfg := smallConfig()
-	cfg.Attention = mode
+	var m Model
 	switch name {
 	case "GT":
-		return NewGT(cfg)
+		m = NewGT(smallConfig())
+		if mode == "staged" {
+			m = stagedGT{m.(*GT)}
+		}
 	case "GAT":
-		return NewGAT(cfg)
+		m = NewGAT(smallConfig())
+		if mode == "staged" {
+			m = stagedGAT{m.(*GAT)}
+		}
+	default:
+		t.Fatalf("unknown model %q", name)
 	}
-	t.Fatalf("unknown model %q", name)
-	return nil
+	return m
 }
 
 // stepExact runs steps forward+backward passes (simulating training by
@@ -158,19 +165,7 @@ func TestFusedOpCountsMatchStaged(t *testing.T) {
 		for engine, ctx := range ctxs {
 			staged := newAttnModel(t, model, "staged")
 			fused := newAttnModel(t, model, "fused")
-			var sc, fc OpCounts
-			switch m := staged.(type) {
-			case *GT:
-				sc = m.CountOps(ctx)
-			case *GAT:
-				sc = m.CountOps(ctx)
-			}
-			switch m := fused.(type) {
-			case *GT:
-				fc = m.CountOps(ctx)
-			case *GAT:
-				fc = m.CountOps(ctx)
-			}
+			sc, fc := countOps(staged, ctx), countOps(fused, ctx)
 			if sc != fc {
 				t.Fatalf("%s/%s op counts: staged %+v fused %+v", model, engine, sc, fc)
 			}
@@ -211,6 +206,23 @@ func TestFusedProfilingMatchesStaged(t *testing.T) {
 			t.Fatalf("%v cycles differ: staged fwd %v total %v, fused fwd %v total %v",
 				engine, sf, st, ff, ft)
 		}
+	}
+}
+
+// TestAttentionIgnoresEnvironment pins that no environment variable
+// selects the attention path: with the retired MEGA_ATTENTION=staged
+// selector set, GT still runs the fused kernel — the only attention path
+// that borrows arena scratch.
+func TestAttentionIgnoresEnvironment(t *testing.T) {
+	t.Setenv("MEGA_ATTENTION", "staged")
+	ctx, err := NewMegaContext(testInstances(t, 4), MegaOptions{}, nil, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.Scratch = tensor.NewArena()
+	NewGT(smallConfig()).Forward(ctx)
+	if s := ctx.Scratch.Stats(); s.F64.Borrows == 0 {
+		t.Fatalf("GT forward never borrowed from the arena: %+v", s.F64)
 	}
 }
 

@@ -2,7 +2,6 @@ package models
 
 import (
 	"math/rand"
-	"os"
 
 	"mega/internal/nn"
 	"mega/internal/tensor"
@@ -34,26 +33,6 @@ type Config struct {
 	OutDim int
 	// Seed seeds parameter initialisation.
 	Seed int64
-	// Attention selects the attention implementation: "fused" (the
-	// single-pass kernel of internal/tensor/attention.go) or "staged"
-	// (the original composed-op pipeline). Empty consults the
-	// MEGA_ATTENTION environment variable, then defaults to fused. Both
-	// paths produce bit-identical outputs and gradients; staged remains
-	// as the reference the equivalence tests pin the kernel against.
-	Attention string
-}
-
-// EnvAttention is the environment variable consulted when
-// Config.Attention is empty ("fused" or "staged").
-const EnvAttention = "MEGA_ATTENTION"
-
-// fusedAttention resolves the attention toggle at model construction.
-func (c Config) fusedAttention() bool {
-	v := c.Attention
-	if v == "" {
-		v = os.Getenv(EnvAttention)
-	}
-	return v != "staged"
 }
 
 // withDefaults fills unset fields with the benchmark-suite defaults.

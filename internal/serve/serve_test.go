@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -310,6 +312,7 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 		{"malformed json", "{nope", http.StatusBadRequest},
 		{"edge out of range", `{"num_nodes":2,"edges":[[0,5]]}`, http.StatusBadRequest},
 		{"empty graph", `{"num_nodes":0,"edges":[]}`, http.StatusBadRequest},
+		{"negative num_nodes", `{"num_nodes":-1}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/predict", "application/json", bytes.NewReader([]byte(tc.body)))
@@ -329,6 +332,32 @@ func TestHTTPRejectsBadRequests(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /predict status = %d, want 405", resp.StatusCode)
+	}
+}
+
+// TestPredictBoundsNumNodesBeforeAllocating: a 23-byte body claiming 10^8
+// nodes must be refused before anything is sized from num_nodes, not
+// after zero-filling hundreds of MB of node features.
+func TestPredictBoundsNumNodesBeforeAllocating(t *testing.T) {
+	cfg := models.Config{Dim: 16, Layers: 1, Heads: 2, NodeTypes: 28, EdgeTypes: 4, OutDim: 1, Seed: 1}
+	s, err := New(models.NewGT(cfg), train.Checkpoint{Model: "GT", Config: cfg}, Options{MaxBatch: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/predict", strings.NewReader(`{"num_nodes":100000000}`))
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest {
+		t.Errorf("status = %d, want %d (%s)", rec.Code, http.StatusBadRequest, rec.Body.String())
+	}
+	if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+		t.Errorf("rejecting the request allocated %d bytes, want < 1 MiB", d)
 	}
 }
 

@@ -896,7 +896,12 @@ type GraphRequest struct {
 }
 
 // Instance converts the wire format into a validated datasets.Instance.
+// num_nodes is bounded before anything is sized from it.
 func (r *GraphRequest) Instance() (datasets.Instance, error) {
+	if r.NumNodes < 0 || r.NumNodes > maxRequestNodes {
+		return datasets.Instance{}, fmt.Errorf("%w: num_nodes %d outside [0, %d]",
+			ErrInvalidInstance, r.NumNodes, maxRequestNodes)
+	}
 	edges := make([]graph.Edge, len(r.Edges))
 	for i, e := range r.Edges {
 		edges[i] = graph.Edge{Src: e[0], Dst: e[1]}
@@ -917,6 +922,12 @@ func (r *GraphRequest) Instance() (datasets.Instance, error) {
 }
 
 const maxRequestBody = 8 << 20
+
+// maxRequestNodes bounds num_nodes by what a body within maxRequestBody
+// could describe: listing one node's feature takes at least two bytes
+// ("0,"). Instance checks it before allocating per-node storage, so a tiny
+// body cannot claim a huge graph.
+const maxRequestNodes = maxRequestBody / 2
 
 // Health is the /healthz document: liveness plus the failure-domain state
 // an operator (or load balancer) needs to interpret degraded service.

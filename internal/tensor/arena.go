@@ -1,6 +1,9 @@
 package tensor
 
-import "sync"
+import (
+	"sync"
+	"unsafe"
+)
 
 // Arena is a step-scoped pool of scratch buffers for the fused attention
 // path. Training steps and serve batches allocate the same buffer shapes
@@ -19,13 +22,19 @@ import "sync"
 //
 // An Arena is safe for concurrent use: serve workers running forwards in
 // parallel share one arena per server. A nil *Arena is valid and degrades
-// to plain make, so the staged path and tests pay nothing.
+// to plain make, so callers without a pool and tests pay nothing.
 type Arena struct {
-	mu      sync.Mutex
-	pools   map[int][][]float64
-	pools32 map[int][][]float32
-	f64     ArenaPrecisionStats
-	f32     ArenaPrecisionStats
+	mu  sync.Mutex
+	f64 bucketPool[float64]
+	f32 bucketPool[float32]
+}
+
+// bucketPool is one precision's buckets of parked buffers, keyed by exact
+// length, and their occupancy counters. The owning Arena's mutex guards
+// it.
+type bucketPool[T float32 | float64] struct {
+	buckets map[int][][]T
+	stats   ArenaPrecisionStats
 }
 
 // ArenaPrecisionStats are the occupancy counters for one precision's
@@ -53,8 +62,8 @@ type ArenaStats struct {
 // NewArena creates an empty arena.
 func NewArena() *Arena {
 	return &Arena{
-		pools:   make(map[int][][]float64),
-		pools32: make(map[int][][]float32),
+		f64: bucketPool[float64]{buckets: make(map[int][][]float64)},
+		f32: bucketPool[float32]{buckets: make(map[int][][]float32)},
 	}
 }
 
@@ -83,73 +92,78 @@ func (s *ArenaPrecisionStats) release(payloadBytes uint64) {
 	}
 }
 
-// Get checks out a zeroed float64 buffer of length n.
-func (a *Arena) Get(n int) []float64 {
-	if a == nil || n == 0 {
-		return make([]float64, n)
+// get checks out a zeroed buffer of length n, parked or fresh, under mu.
+func (p *bucketPool[T]) get(mu *sync.Mutex, n int) []T {
+	if n == 0 {
+		return make([]T, 0)
 	}
-	a.mu.Lock()
-	bucket := a.pools[n]
+	payload := uint64(n) * uint64(unsafe.Sizeof(T(0)))
+	mu.Lock()
+	bucket := p.buckets[n]
 	if len(bucket) == 0 {
-		a.f64.borrow(false, uint64(n)*8)
-		a.mu.Unlock()
-		return make([]float64, n)
+		p.stats.borrow(false, payload)
+		mu.Unlock()
+		return make([]T, n)
 	}
 	buf := bucket[len(bucket)-1]
-	a.pools[n] = bucket[:len(bucket)-1]
-	a.f64.borrow(true, uint64(n)*8)
-	a.mu.Unlock()
+	p.buckets[n] = bucket[:len(bucket)-1]
+	p.stats.borrow(true, payload)
+	mu.Unlock()
 	return buf
+}
+
+// put zeroes buf outside the lock, then parks it under mu.
+func (p *bucketPool[T]) put(mu *sync.Mutex, buf []T) {
+	if len(buf) == 0 {
+		return
+	}
+	clear(buf)
+	mu.Lock()
+	p.buckets[len(buf)] = append(p.buckets[len(buf)], buf)
+	p.stats.release(uint64(len(buf)) * uint64(unsafe.Sizeof(T(0))))
+	mu.Unlock()
+}
+
+// parked counts the buffers parked across all buckets.
+func (p *bucketPool[T]) parked() int {
+	n := 0
+	for _, b := range p.buckets {
+		n += len(b)
+	}
+	return n
+}
+
+// Get checks out a zeroed float64 buffer of length n.
+func (a *Arena) Get(n int) []float64 {
+	if a == nil {
+		return make([]float64, n)
+	}
+	return a.f64.get(&a.mu, n)
 }
 
 // Put zeroes buf and parks it for reuse. Putting a buffer twice, or using
 // it after Put, is a caller bug (the usual pool contract). A nil arena
 // drops the buffer for the GC.
 func (a *Arena) Put(buf []float64) {
-	if a == nil || len(buf) == 0 {
-		return
+	if a != nil {
+		a.f64.put(&a.mu, buf)
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	a.mu.Lock()
-	a.pools[len(buf)] = append(a.pools[len(buf)], buf)
-	a.f64.release(uint64(len(buf)) * 8)
-	a.mu.Unlock()
 }
 
 // Get32 checks out a zeroed float32 buffer of length n — the inference
 // fast path's counterpart of Get.
 func (a *Arena) Get32(n int) []float32 {
-	if a == nil || n == 0 {
+	if a == nil {
 		return make([]float32, n)
 	}
-	a.mu.Lock()
-	bucket := a.pools32[n]
-	if len(bucket) == 0 {
-		a.f32.borrow(false, uint64(n)*4)
-		a.mu.Unlock()
-		return make([]float32, n)
-	}
-	buf := bucket[len(bucket)-1]
-	a.pools32[n] = bucket[:len(bucket)-1]
-	a.f32.borrow(true, uint64(n)*4)
-	a.mu.Unlock()
-	return buf
+	return a.f32.get(&a.mu, n)
 }
 
 // Put32 zeroes buf and parks it, under the same contract as Put.
 func (a *Arena) Put32(buf []float32) {
-	if a == nil || len(buf) == 0 {
-		return
+	if a != nil {
+		a.f32.put(&a.mu, buf)
 	}
-	for i := range buf {
-		buf[i] = 0
-	}
-	a.mu.Lock()
-	a.pools32[len(buf)] = append(a.pools32[len(buf)], buf)
-	a.f32.release(uint64(len(buf)) * 4)
-	a.mu.Unlock()
 }
 
 // Stats snapshots the occupancy counters. A nil arena reports zeros.
@@ -159,7 +173,7 @@ func (a *Arena) Stats() ArenaStats {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return ArenaStats{F64: a.f64, F32: a.f32}
+	return ArenaStats{F64: a.f64.stats, F32: a.f32.stats}
 }
 
 // Buffered reports how many buffers are currently parked across both
@@ -170,12 +184,5 @@ func (a *Arena) Buffered() int {
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	n := 0
-	for _, b := range a.pools {
-		n += len(b)
-	}
-	for _, b := range a.pools32 {
-		n += len(b)
-	}
-	return n
+	return a.f64.parked() + a.f32.parked()
 }

@@ -7,47 +7,32 @@ import (
 	"mega/internal/compute"
 )
 
-// Float32 forward-only variants of the fused attention kernels, in two
-// memory layouts.
+// Float32 forward-only variants of the fused attention kernels, in a
+// head-major scratch layout.
 //
 // The float64 kernels walk node-major [R,d] rows: a per-(receiver, head)
 // segment sweep touches one dk-wide stripe of each sender row, so
 // consecutive senders are d elements apart — with 4 heads, 3/4 of every
-// fetched cache line is for other heads. LayoutHeadMajor repacks Q/K/V
+// fetched cache line is for other heads. The f32 kernels repack Q/K/V
 // (and the edge modulation) head-major — element (row r, head a, lane j)
 // at a·(R·dk) + r·dk + j — so each segment sweep reads one contiguous
 // ~len·dk stream per head: band-graph senders are near-consecutive
-// positions, so the stream is dense. LayoutInterleaved keeps the float64
-// kernels' node-major walk for comparison (`make bench-precision` reports
-// both).
+// positions, so the stream is dense.
 //
-// Both layouts perform identical arithmetic in identical per-element
-// accumulation order — only the addresses differ — so their outputs are
-// bit-identical (pinned by TestAttention32LayoutsBitIdentical). Across
-// precisions the contract is the divergence envelope, not bit-identity.
+// The repacking changes addresses, not arithmetic: per element the
+// accumulation order is the node-major walk's, pinned bit-for-bit against
+// a serial node-major reference by TestAttention32MatchesNodeMajorExactly.
+// Across precisions the contract is the divergence envelope, not
+// bit-identity.
 
-// AttnLayout selects the scratch memory layout of the f32 attention
-// kernels.
+// AttnLayout names the scratch memory layout of the f32 attention
+// kernels. LayoutHeadMajor is the only layout; the parameter stays in
+// FusedSegmentAttention32's signature for existing callers.
 type AttnLayout int
 
-const (
-	// LayoutHeadMajor streams each (receiver, head) segment sweep over
-	// contiguous per-head panels. The serving default.
-	LayoutHeadMajor AttnLayout = iota
-	// LayoutInterleaved keeps the float64 kernels' node-major row layout.
-	LayoutInterleaved
-)
-
-func (l AttnLayout) String() string {
-	switch l {
-	case LayoutHeadMajor:
-		return "head-major"
-	case LayoutInterleaved:
-		return "interleaved"
-	default:
-		return fmt.Sprintf("AttnLayout(%d)", int(l))
-	}
-}
+// LayoutHeadMajor streams each (receiver, head) segment sweep over
+// contiguous per-head panels.
+const LayoutHeadMajor AttnLayout = 0
 
 // exp32 evaluates exp in float64 and rounds once — Go has no float32
 // stdlib exp, and one correctly-rounded evaluation keeps the softmax the
@@ -89,6 +74,9 @@ func unpackHeadMajor(dst, src []float32, rows, heads, dk int) {
 func FusedSegmentAttention32(q, k, v, ew *F32, recv, send, edgeIdx []int32,
 	byRecv, byEdge *Segments, heads int, layout AttnLayout, arena *Arena) (att, edgeOut *F32) {
 
+	if layout != LayoutHeadMajor {
+		panic(fmt.Sprintf("tensor: fusedattn32 unknown layout %d", int(layout)))
+	}
 	rows, d := q.rows, q.cols
 	if k.rows != rows || k.cols != d || v.rows != rows || v.cols != d {
 		panic(fmt.Sprintf("tensor: fusedattn32 shape q %dx%d k %dx%d v %dx%d",
@@ -133,12 +121,6 @@ func FusedSegmentAttention32(q, k, v, ew *F32, recv, send, edgeIdx []int32,
 	att = arena.GetF32(rows, d)
 	if ew != nil {
 		edgeOut = arena.GetF32(numEdges, d)
-	}
-
-	if layout == LayoutInterleaved {
-		fusedSegmentAttention32Interleaved(q, k, v, ew, att, edgeOut,
-			recv, send, edgeIdx, byRecv, byEdge, heads, dk, scale, arena)
-		return att, edgeOut
 	}
 
 	// Head-major panels for everything the segment sweeps touch.
@@ -264,97 +246,6 @@ func FusedSegmentAttention32(q, k, v, ew *F32, recv, send, edgeIdx []int32,
 	return att, edgeOut
 }
 
-// fusedSegmentAttention32Interleaved is the node-major reference walk —
-// the float64 kernel's loop structure in float32.
-func fusedSegmentAttention32Interleaved(q, k, v, ew, att, edgeOut *F32,
-	recv, send, edgeIdx []int32, byRecv, byEdge *Segments,
-	heads, dk int, scale float32, arena *Arena) {
-
-	rows, d := q.rows, q.cols
-	P := len(recv)
-	sBuf := arena.Get32(P * heads)
-	pairGrain := workGrain(d)
-	compute.ParallelGrain(P, pairGrain, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			r, s := int(recv[p])*d, int(send[p])*d
-			var eOff int
-			if ew != nil {
-				eOff = int(edgeIdx[p]) * d
-			}
-			for a := 0; a < heads; a++ {
-				base := a * dk
-				var sum float32
-				if ew != nil {
-					for j := base; j < base+dk; j++ {
-						sum += q.Data[r+j] * (k.Data[s+j] * ew.Data[eOff+j])
-					}
-				} else {
-					for j := base; j < base+dk; j++ {
-						sum += q.Data[r+j] * k.Data[s+j]
-					}
-				}
-				sBuf[p*heads+a] = sum * scale
-			}
-		}
-	})
-
-	segGrain := workGrain(2 * d * (P/rows + 1))
-	compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
-			if len(seg) == 0 {
-				continue
-			}
-			for a := 0; a < heads; a++ {
-				mx := float32(math.Inf(-1))
-				for _, p := range seg {
-					if sv := sBuf[int(p)*heads+a]; sv > mx {
-						mx = sv
-					}
-				}
-				var denom float32
-				for _, p := range seg {
-					ex := exp32(sBuf[int(p)*heads+a] - mx)
-					sBuf[int(p)*heads+a] = ex
-					denom += ex
-				}
-				recip := 1 / (denom + 1e-9)
-				base := a * dk
-				for _, p := range seg {
-					alpha := sBuf[int(p)*heads+a] * recip
-					s := int(send[p]) * d
-					o := r * d
-					saxpy32(alpha, v.Data[s+base:s+base+dk], att.Data[o+base:o+base+dk])
-				}
-			}
-		}
-	})
-	arena.Put32(sBuf)
-
-	if ew != nil {
-		numEdges := ew.rows
-		compute.ParallelGrain(numEdges, segGrain, func(lo, hi int) {
-			for e := lo; e < hi; e++ {
-				seg := byEdge.Order[byEdge.Start[e]:byEdge.Start[e+1]]
-				if len(seg) == 0 {
-					continue
-				}
-				o, eOff := e*d, e*d
-				for _, p := range seg {
-					s := int(send[p]) * d
-					for j := 0; j < d; j++ {
-						edgeOut.Data[o+j] += k.Data[s+j] * ew.Data[eOff+j]
-					}
-				}
-				inv := 1 / float32(len(seg))
-				for j := 0; j < d; j++ {
-					edgeOut.Data[o+j] *= inv
-				}
-			}
-		})
-	}
-}
-
 // gatScore32 is LeakyReLU with slope 0.2 in the staged decomposition the
 // float64 kernel uses (relu + (x−relu)·0.2).
 func gatScore32(x float32) float32 {
@@ -370,7 +261,7 @@ func gatScore32(x float32) float32 {
 // per-row halves, softmax per receiver segment, aggregating alpha·w_s per
 // head. aL/aR are the flattened 1×d attention vectors.
 func FusedAdditiveAttention32(wh *F32, aL, aR []float32, recv, send []int32,
-	byRecv *Segments, heads int, layout AttnLayout, arena *Arena) *F32 {
+	byRecv *Segments, heads int, arena *Arena) *F32 {
 
 	rows, d := wh.rows, wh.cols
 	if heads < 1 || d%heads != 0 {
@@ -398,9 +289,9 @@ func FusedAdditiveAttention32(wh *F32, aL, aR []float32, recv, send []int32,
 	dk := d / heads
 	att := arena.GetF32(rows, d)
 
-	// Per-row score halves rs[r,a] = Σ_j ascending wh[r,aj]·a[aj]: layout-
-	// independent (node-major read order per row equals head-major per-head
-	// order — same elements, same ascending j).
+	// Per-row score halves rs[r,a] = Σ_j ascending wh[r,aj]·a[aj], read
+	// node-major (per row this is the head-major per-head order — same
+	// elements, same ascending j).
 	rsL := arena.Get32(rows * heads)
 	rsR := arena.Get32(rows * heads)
 	rowG := workGrain(d)
@@ -419,74 +310,43 @@ func FusedAdditiveAttention32(wh *F32, aL, aR []float32, recv, send []int32,
 		}
 	})
 
+	// Head-major value panel: the aggregation is the only pair-major sweep
+	// over wh, so only it needs repacking.
 	segGrain := workGrain(2 * d * (P/rows + 1))
-	if layout == LayoutHeadMajor {
-		// Head-major value panel: the aggregation is the only pair-major
-		// sweep over wh, so only it needs repacking.
-		whh := arena.Get32(rows * d)
-		packHeadMajor(whh, wh.Data, rows, heads, dk)
-		attH := arena.Get32(rows * d)
-		compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
-				if len(seg) == 0 {
-					continue
+	whh := arena.Get32(rows * d)
+	packHeadMajor(whh, wh.Data, rows, heads, dk)
+	attH := arena.Get32(rows * d)
+	compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
+		for r := lo; r < hi; r++ {
+			seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
+			if len(seg) == 0 {
+				continue
+			}
+			for a := 0; a < heads; a++ {
+				wa := whh[a*rows*dk : (a+1)*rows*dk]
+				mx := float32(math.Inf(-1))
+				for _, p := range seg {
+					if sv := gatScore32(rsL[r*heads+a] + rsR[int(send[p])*heads+a]); sv > mx {
+						mx = sv
+					}
 				}
-				for a := 0; a < heads; a++ {
-					wa := whh[a*rows*dk : (a+1)*rows*dk]
-					mx := float32(math.Inf(-1))
-					for _, p := range seg {
-						if sv := gatScore32(rsL[r*heads+a] + rsR[int(send[p])*heads+a]); sv > mx {
-							mx = sv
-						}
-					}
-					var denom float32
-					for _, p := range seg {
-						denom += exp32(gatScore32(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
-					}
-					recip := 1 / (denom + 1e-9)
-					orow := attH[a*rows*dk+r*dk : a*rows*dk+(r+1)*dk]
-					for _, p := range seg {
-						ex := exp32(gatScore32(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
-						alpha := ex * recip
-						saxpy32(alpha, wa[int(send[p])*dk:(int(send[p])+1)*dk], orow)
-					}
+				var denom float32
+				for _, p := range seg {
+					denom += exp32(gatScore32(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
+				}
+				recip := 1 / (denom + 1e-9)
+				orow := attH[a*rows*dk+r*dk : a*rows*dk+(r+1)*dk]
+				for _, p := range seg {
+					ex := exp32(gatScore32(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
+					alpha := ex * recip
+					saxpy32(alpha, wa[int(send[p])*dk:(int(send[p])+1)*dk], orow)
 				}
 			}
-		})
-		unpackHeadMajor(att.Data, attH, rows, heads, dk)
-		arena.Put32(attH)
-		arena.Put32(whh)
-	} else {
-		compute.ParallelGrain(rows, segGrain, func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
-				if len(seg) == 0 {
-					continue
-				}
-				for a := 0; a < heads; a++ {
-					mx := float32(math.Inf(-1))
-					for _, p := range seg {
-						if sv := gatScore32(rsL[r*heads+a] + rsR[int(send[p])*heads+a]); sv > mx {
-							mx = sv
-						}
-					}
-					var denom float32
-					for _, p := range seg {
-						denom += exp32(gatScore32(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
-					}
-					recip := 1 / (denom + 1e-9)
-					base := a * dk
-					for _, p := range seg {
-						ex := exp32(gatScore32(rsL[r*heads+a]+rsR[int(send[p])*heads+a]) - mx)
-						alpha := ex * recip
-						s := int(send[p]) * d
-						saxpy32(alpha, wh.Data[s+base:s+base+dk], att.Data[r*d+base:r*d+base+dk])
-					}
-				}
-			}
-		})
-	}
+		}
+	})
+	unpackHeadMajor(att.Data, attH, rows, heads, dk)
+	arena.Put32(attH)
+	arena.Put32(whh)
 	arena.Put32(rsL)
 	arena.Put32(rsR)
 	return att

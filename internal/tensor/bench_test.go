@@ -134,20 +134,17 @@ func benchAttnInputs32(rng *rand.Rand) (q, k, v, ew *F32, recv, send, edge []int
 	return
 }
 
-func benchFusedAttention32(b *testing.B, layout AttnLayout) {
+func BenchmarkFusedAttention32HeadMajor(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))
 	q, k, v, ew, recv, send, edge, byRecv, _, byEdge := benchAttnInputs32(rng)
 	arena := NewArena()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		att, eo := FusedSegmentAttention32(q, k, v, ew, recv, send, edge, byRecv, byEdge, benchAttnHeads, layout, arena)
+		att, eo := FusedSegmentAttention32(q, k, v, ew, recv, send, edge, byRecv, byEdge, benchAttnHeads, LayoutHeadMajor, arena)
 		arena.PutF32(att)
 		arena.PutF32(eo)
 	}
 }
-
-func BenchmarkFusedAttention32HeadMajor(b *testing.B)   { benchFusedAttention32(b, LayoutHeadMajor) }
-func BenchmarkFusedAttention32Interleaved(b *testing.B) { benchFusedAttention32(b, LayoutInterleaved) }
 
 func BenchmarkFusedAttention64(b *testing.B) {
 	rng := rand.New(rand.NewSource(77))

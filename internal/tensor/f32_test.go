@@ -1,9 +1,12 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"mega/internal/compute"
 )
 
 func TestULPDistance32(t *testing.T) {
@@ -173,17 +176,15 @@ func TestFusedSegmentAttention32MatchesF64(t *testing.T) {
 
 	att64, eo64 := FusedSegmentAttention(q64, k64, v64, w64, recv, send, edge,
 		byRecv, bySend, byEdge, heads, nil)
-	for _, layout := range []AttnLayout{LayoutHeadMajor, LayoutInterleaved} {
-		att32, eo32 := FusedSegmentAttention32(q32, k32, v32, w32, recv, send, edge,
-			byRecv, byEdge, heads, layout, arena)
-		da := MeasureDivergence(att32.Data, att64.Data, 1e-3)
-		da.Merge(MeasureDivergence(eo32.Data, eo64.Data, 1e-3))
-		if err := da.Within(2048, 1e-4); err != nil {
-			t.Errorf("%v fused attention diverged: %v (%+v)", layout, err, da)
-		}
-		arena.PutF32(att32)
-		arena.PutF32(eo32)
+	att32, eo32 := FusedSegmentAttention32(q32, k32, v32, w32, recv, send, edge,
+		byRecv, byEdge, heads, LayoutHeadMajor, arena)
+	da := MeasureDivergence(att32.Data, att64.Data, 1e-3)
+	da.Merge(MeasureDivergence(eo32.Data, eo64.Data, 1e-3))
+	if err := da.Within(2048, 1e-4); err != nil {
+		t.Errorf("fused attention diverged: %v (%+v)", err, da)
 	}
+	arena.PutF32(att32)
+	arena.PutF32(eo32)
 
 	// Unmodulated variant (ew nil).
 	attN64, _ := FusedSegmentAttention(q64, k64, v64, nil, recv, send, edge,
@@ -199,43 +200,160 @@ func TestFusedSegmentAttention32MatchesF64(t *testing.T) {
 	}
 }
 
-func TestAttention32LayoutsBitIdentical(t *testing.T) {
+// nodeMajorAttention32 is the serial node-major reference walk of
+// FusedSegmentAttention32: per pair, the per-head scaled q·(k⊙w) sums;
+// per receiver segment and head, the max-shifted softmax and the
+// alpha-weighted sum of sender values; per edge, the mean of k⊙w. Every
+// accumulation runs in the kernel's documented order.
+func nodeMajorAttention32(q, k, v, w *F32, recv, send, edge []int32,
+	byRecv, byEdge *Segments, heads int) (att, edgeOut []float32) {
+
+	rows, d := q.Rows(), q.Cols()
+	dk := d / heads
+	scale := float32(1 / math.Sqrt(float64(dk)))
+	score := make([]float32, len(recv)*heads)
+	for p := range recv {
+		r, s, e := int(recv[p])*d, int(send[p])*d, int(edge[p])*d
+		for a := 0; a < heads; a++ {
+			var sum float32
+			for j := a * dk; j < (a+1)*dk; j++ {
+				sum += q.Data[r+j] * (k.Data[s+j] * w.Data[e+j])
+			}
+			score[p*heads+a] = sum * scale
+		}
+	}
+	att = make([]float32, rows*d)
+	for r := 0; r < rows; r++ {
+		seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
+		for a := 0; a < heads; a++ {
+			mx := float32(math.Inf(-1))
+			for _, p := range seg {
+				mx = max(mx, score[int(p)*heads+a])
+			}
+			var denom float32
+			for _, p := range seg {
+				denom += exp32(score[int(p)*heads+a] - mx)
+			}
+			recip := 1 / (denom + 1e-9)
+			for _, p := range seg {
+				alpha := exp32(score[int(p)*heads+a]-mx) * recip
+				s := int(send[p]) * d
+				for j := a * dk; j < (a+1)*dk; j++ {
+					att[r*d+j] += alpha * v.Data[s+j]
+				}
+			}
+		}
+	}
+	edgeOut = make([]float32, w.Rows()*d)
+	for e := 0; e < w.Rows(); e++ {
+		seg := byEdge.Order[byEdge.Start[e]:byEdge.Start[e+1]]
+		for _, p := range seg {
+			s := int(send[p]) * d
+			for j := 0; j < d; j++ {
+				edgeOut[e*d+j] += k.Data[s+j] * w.Data[e*d+j]
+			}
+		}
+		if len(seg) > 0 {
+			inv := 1 / float32(len(seg))
+			for j := 0; j < d; j++ {
+				edgeOut[e*d+j] *= inv
+			}
+		}
+	}
+	return att, edgeOut
+}
+
+// nodeMajorAdditive32 is the serial node-major reference walk of
+// FusedAdditiveAttention32: per-row score halves, leaky additive scores,
+// per receiver segment and head the max-shifted softmax and the
+// alpha-weighted sum of sender rows.
+func nodeMajorAdditive32(wh *F32, aL, aR []float32, recv, send []int32,
+	byRecv *Segments, heads int) []float32 {
+
+	rows, d := wh.Rows(), wh.Cols()
+	dk := d / heads
+	rsL := make([]float32, rows*heads)
+	rsR := make([]float32, rows*heads)
+	for i := 0; i < rows; i++ {
+		for a := 0; a < heads; a++ {
+			for j := a * dk; j < (a+1)*dk; j++ {
+				rsL[i*heads+a] += wh.Data[i*d+j] * aL[j]
+				rsR[i*heads+a] += wh.Data[i*d+j] * aR[j]
+			}
+		}
+	}
+	att := make([]float32, rows*d)
+	for r := 0; r < rows; r++ {
+		seg := byRecv.Order[byRecv.Start[r]:byRecv.Start[r+1]]
+		for a := 0; a < heads; a++ {
+			score := func(p int32) float32 { return gatScore32(rsL[r*heads+a] + rsR[int(send[p])*heads+a]) }
+			mx := float32(math.Inf(-1))
+			for _, p := range seg {
+				mx = max(mx, score(p))
+			}
+			var denom float32
+			for _, p := range seg {
+				denom += exp32(score(p) - mx)
+			}
+			recip := 1 / (denom + 1e-9)
+			for _, p := range seg {
+				alpha := exp32(score(p)-mx) * recip
+				s := int(send[p]) * d
+				for j := a * dk; j < (a+1)*dk; j++ {
+					att[r*d+j] += alpha * wh.Data[s+j]
+				}
+			}
+		}
+	}
+	return att
+}
+
+// equalBits32 fails t at the first element where got and want differ in
+// any bit.
+func equalBits32(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d elements, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("%s differs at %d: %x vs reference %x",
+				what, i, math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// TestAttention32MatchesNodeMajorExactly pins both head-major f32
+// attention kernels bit-for-bit against the serial node-major reference
+// walks, at one and several threads: the head-major repacking moves
+// addresses, never arithmetic.
+func TestAttention32MatchesNodeMajorExactly(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	arena := NewArena()
 	const rows, d, heads, E, P = 40, 48, 4, 32, 128
 
 	_, q := randF32Pair(rng, rows, d)
 	_, k := randF32Pair(rng, rows, d)
 	_, v := randF32Pair(rng, rows, d)
 	_, w := randF32Pair(rng, E, d)
-	recv, send, edge := randomPairs(rng, rows, E, P)
-	byRecv := BuildSegments(recv, rows)
-	byEdge := BuildSegments(edge, E)
-
-	hmA, hmE := FusedSegmentAttention32(q, k, v, w, recv, send, edge, byRecv, byEdge, heads, LayoutHeadMajor, arena)
-	ilA, ilE := FusedSegmentAttention32(q, k, v, w, recv, send, edge, byRecv, byEdge, heads, LayoutInterleaved, arena)
-	for i := range hmA.Data {
-		if hmA.Data[i] != ilA.Data[i] {
-			t.Fatalf("att layouts differ at %d: %x vs %x",
-				i, math.Float32bits(hmA.Data[i]), math.Float32bits(ilA.Data[i]))
-		}
-	}
-	for i := range hmE.Data {
-		if hmE.Data[i] != ilE.Data[i] {
-			t.Fatalf("edge-out layouts differ at %d", i)
-		}
-	}
-
 	_, wh := randF32Pair(rng, rows, d)
 	aL64 := Randn(rng, 1, d, 0.1)
 	aR64 := Randn(rng, 1, d, 0.1)
 	aL, aR := DowncastSlice(aL64.Data), DowncastSlice(aR64.Data)
-	hm := FusedAdditiveAttention32(wh, aL, aR, recv, send, byRecv, heads, LayoutHeadMajor, arena)
-	il := FusedAdditiveAttention32(wh, aL, aR, recv, send, byRecv, heads, LayoutInterleaved, arena)
-	for i := range hm.Data {
-		if hm.Data[i] != il.Data[i] {
-			t.Fatalf("gat layouts differ at %d", i)
-		}
+	recv, send, edge := randomPairs(rng, rows, E, P)
+	byRecv := BuildSegments(recv, rows)
+	byEdge := BuildSegments(edge, E)
+
+	refAtt, refEdge := nodeMajorAttention32(q, k, v, w, recv, send, edge, byRecv, byEdge, heads)
+	refGAT := nodeMajorAdditive32(wh, aL, aR, recv, send, byRecv, heads)
+	for _, threads := range []int{1, 4} {
+		prev := compute.SetMaxThreads(threads)
+		arena := NewArena()
+		att, eo := FusedSegmentAttention32(q, k, v, w, recv, send, edge, byRecv, byEdge, heads, LayoutHeadMajor, arena)
+		equalBits32(t, fmt.Sprintf("att at %d threads", threads), att.Data, refAtt)
+		equalBits32(t, fmt.Sprintf("edge-out at %d threads", threads), eo.Data, refEdge)
+		gat := FusedAdditiveAttention32(wh, aL, aR, recv, send, byRecv, heads, arena)
+		equalBits32(t, fmt.Sprintf("gat at %d threads", threads), gat.Data, refGAT)
+		compute.SetMaxThreads(prev)
 	}
 
 	// And GAT f32 against the f64 reference.
@@ -250,7 +368,7 @@ func TestAttention32LayoutsBitIdentical(t *testing.T) {
 		aR64.Data[i] = float64(x)
 	}
 	ref := FusedAdditiveAttention(wh64, aL64, aR64, recv, send, byRecv, bySend, heads, nil)
-	dg := MeasureDivergence(hm.Data, ref.Data, 1e-3)
+	dg := MeasureDivergence(refGAT, ref.Data, 1e-3)
 	if err := dg.Within(2048, 1e-4); err != nil {
 		t.Errorf("gat f32 diverged from f64: %v (%+v)", err, dg)
 	}

@@ -180,10 +180,10 @@ func TestGradients(t *testing.T) {
 			build: func(ins []*Tensor) *Tensor { return weightedSum(MulMask(ins[0], maskAlt)) }},
 		{name: "LayerNorm", tol: 1e-5,
 			inputs: []*Tensor{randT(34, 7, 6), AddScalar(randT(35, 1, 6), 1.5).Detach(), randT(36, 1, 6)},
-			build: func(ins []*Tensor) *Tensor { return weightedSum(LayerNorm(ins[0], ins[1], ins[2])) }},
+			build:  func(ins []*Tensor) *Tensor { return weightedSum(LayerNorm(ins[0], ins[1], ins[2])) }},
 		{name: "BatchNorm", tol: 1e-5,
 			inputs: []*Tensor{randT(37, 7, 6), AddScalar(randT(38, 1, 6), 1.5).Detach(), randT(39, 1, 6)},
-			build: func(ins []*Tensor) *Tensor { return weightedSum(BatchNorm(ins[0], ins[1], ins[2])) }},
+			build:  func(ins []*Tensor) *Tensor { return weightedSum(BatchNorm(ins[0], ins[1], ins[2])) }},
 		{name: "GatherRows", inputs: []*Tensor{randT(40, 5, 4)},
 			build: func(ins []*Tensor) *Tensor { return weightedSum(GatherRows(ins[0], gatherIdx)) }},
 		{name: "ScatterAddRows", inputs: []*Tensor{randT(41, 7, 4)},

@@ -2,13 +2,17 @@ package train
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"math"
 	"path/filepath"
 	"testing"
 
 	"mega/internal/datasets"
 	"mega/internal/models"
+	"mega/internal/tensor"
 )
 
 func tinyConfig() models.Config {
@@ -82,6 +86,74 @@ func TestCheckpointFileAndServingMatch(t *testing.T) {
 		if math.Abs(got.Data[i]-want.Data[i]) > 1e-12 {
 			t.Fatalf("forward mismatch at %d: %v != %v", i, got.Data[i], want.Data[i])
 		}
+	}
+}
+
+// withHeaderField re-encodes a current-format checkpoint with one extra
+// key in its header's config object, recomputing the CRC trailer — the
+// shape of a file written while models.Config carried that field.
+func withHeaderField(t *testing.T, data []byte, key string, value any) []byte {
+	t.Helper()
+	body := data[len(ckptMagic) : len(data)-ckptTrailerLen]
+	n := binary.LittleEndian.Uint32(body)
+	var header map[string]any
+	if err := json.Unmarshal(body[4:4+n], &header); err != nil {
+		t.Fatal(err)
+	}
+	header["config"].(map[string]any)[key] = value
+	nh, err := json.Marshal(header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]byte(ckptMagic), binary.LittleEndian.AppendUint32(nil, uint32(len(nh)))...)
+	out = append(append(out, nh...), body[4+n:]...)
+	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// TestCheckpointWithRetiredAttentionField: checkpoints from before the
+// runtime attention selector was removed carry "Attention":"staged" in
+// their config. They must still load — Config has no json tags, so the
+// unknown key is ignored — and run the fused kernel, the only attention
+// path that borrows arena scratch.
+func TestCheckpointWithRetiredAttentionField(t *testing.T) {
+	ds := datasets.ZINC(datasets.Config{TrainSize: 4, ValSize: 1, TestSize: 1, Seed: 5})
+	cfg := tinyConfig()
+	cfg.NodeTypes, cfg.EdgeTypes = ds.NumNodeTypes, ds.NumEdgeTypes
+	orig, err := NewModel("GT", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := Checkpoint{Model: "GT", Config: cfg, Task: datasets.TaskRegression, Dataset: "ZINC"}
+	var buf bytes.Buffer
+	if err := SaveCheckpoint(&buf, meta, orig); err != nil {
+		t.Fatal(err)
+	}
+	data := withHeaderField(t, buf.Bytes(), "Attention", "staged")
+	if !bytes.Contains(data, []byte(`"Attention":"staged"`)) {
+		t.Fatal("header rewrite did not add the retired field")
+	}
+	gotMeta, loaded, err := LoadCheckpoint(bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	if gotMeta != meta {
+		t.Errorf("meta = %+v, want %+v", gotMeta, meta)
+	}
+
+	ctx, err := models.NewMegaContext(ds.Train, models.MegaOptions{}, nil, meta.Config.Dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := orig.Forward(ctx)
+	ctx.Scratch = tensor.NewArena()
+	got := loaded.Forward(ctx)
+	for i := range want.Data {
+		if got.Data[i] != want.Data[i] {
+			t.Fatalf("output %d: loaded %v, original %v", i, got.Data[i], want.Data[i])
+		}
+	}
+	if s := ctx.Scratch.Stats(); s.F64.Borrows == 0 {
+		t.Fatalf("loaded model never borrowed from the arena: %+v", s.F64)
 	}
 }
 

@@ -56,10 +56,6 @@ type Options struct {
 	// Results are identical at any setting — the kernels partition work
 	// deterministically — so this is purely a resource-control knob.
 	Threads int
-	// Attention selects the attention implementation ("fused"/"staged");
-	// empty defers to MEGA_ATTENTION then the fused default. Both paths
-	// are bit-identical, so this is a performance knob, not a result knob.
-	Attention string
 	// CheckpointDir enables periodic checkpointing: every CheckpointEvery
 	// epochs (and after the final epoch) the model is written atomically
 	// to CheckpointDir/ckpt-<epoch>.ckpt. Empty disables.
@@ -207,7 +203,7 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	cfg := models.Config{
 		Dim: opts.Dim, Layers: opts.Layers, Heads: opts.Heads,
 		NodeTypes: ds.NumNodeTypes, EdgeTypes: ds.NumEdgeTypes,
-		OutDim: 1, Seed: opts.Seed, Attention: opts.Attention,
+		OutDim: 1, Seed: opts.Seed,
 	}
 	if ds.Task == datasets.TaskClassification {
 		cfg.OutDim = ds.NumClasses
