@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check sparsify-check bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
+.PHONY: all check build vet test test-race race race-short chaos chaos-short dist-chaos shard-check dynamic-check load-check precision-check sparsify-check gates-check bench bench-compute bench-attention bench-dist bench-dynamic bench-serve bench-precision bench-sparsify fuzz fuzz-smoke experiments examples clean
 
 all: check
 
@@ -56,13 +56,13 @@ chaos-short:
 dist-chaos:
 	DIST_CHAOS_REPORT=$(CURDIR)/dist-chaos-report.log $(GO) test -race -run TestDistChaos -count=1 -v ./internal/dist/
 
-# shard-check runs the shard-engine equivalence gates: bit-identical
-# forward against the single engine at every worker count, k-invariant
-# gradients, bit-identical training trajectories at k ∈ {2,4} vs k=1,
-# observed-vs-analytical exchange traffic, and the sharded serving path.
+# shard-check runs the shard-engine equivalence gates: the forward-only
+# engine bit-identical to the single engine at every worker count (also
+# with several engines and a plain forward sharing one model
+# concurrently), observed-vs-analytical exchange traffic, and the sharded
+# serving path.
 shard-check:
 	$(GO) test ./internal/models/ -run 'TestShard' -count=1
-	$(GO) test ./internal/train/ -run 'TestShardedTraining' -count=1
 	$(GO) test ./internal/dist/ -run 'TestRunHaloExchange|TestAnalyzePathPartition' -count=1
 	$(GO) test ./internal/serve/ -run 'TestShard' -count=1
 
@@ -112,8 +112,13 @@ sparsify-check:
 	$(GO) test ./internal/traverse/ -run 'Sparsif|TestOptionsDigest' -count=1
 	$(GO) test ./internal/serve/ -run 'TestRepCacheKeyCoversOptions|TestServerRepKeyIncludesSparsify|TestRepCache' -count=1
 	$(GO) test ./internal/models/ -run 'Sparsified' -count=1
-	$(GO) test ./internal/train/ -run 'TestShardFallback' -count=1
 	$(GO) test ./internal/dynamic/ -run 'TestUnsupportedConfigurations' -count=1
+
+# gates-check fails when any -run/-bench/-fuzz pattern above (or in the CI
+# workflow) selects nothing in its package: `go test -run` passes silently
+# on an empty match, so a renamed test would otherwise void its gate.
+gates-check:
+	bash scripts/gates-check.sh
 
 # Benchmark records. Each BENCH_*.json in the repo root is regenerated by
 # exactly one target below, on demand — never by `make test` or CI PR

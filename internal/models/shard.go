@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"mega/internal/compute"
-	"mega/internal/nn"
 	"mega/internal/tensor"
 )
 
 // This file implements the shard-parallel execution engine for the MEGA
 // path representation: the path's working rows are split into contiguous
 // worker chunks with ω-row halos, each worker runs the real per-layer GT
-// forward/backward over its chunk, and halo embeddings plus cross-chunk
+// forward over its chunk, and halo embeddings plus cross-chunk
 // duplicate-group and edge-fold synchronisation travel between workers
 // over channels. The output is bit-identical to the single-engine
 // GT.Forward over the same context at any worker count.
@@ -28,11 +27,13 @@ import (
 // regroup the additions and break bit-identity.
 //
 // The path is always cut into shardChunks=8 canonical µchunks whose
-// bounds, pair assignment, edge ownership, and tape structure are
-// independent of the worker count; k workers own contiguous runs of
-// µchunks (k must divide 8). Per-µchunk tapes therefore run the same
-// kernels over the same rows at every k, which pins not only the forward
-// values but also the backward gradients to k-invariant bit patterns.
+// bounds, pair assignment, and edge ownership are independent of the
+// worker count; k workers own contiguous runs of µchunks (k must divide
+// 8), so every µchunk runs the same kernels over the same rows at every k.
+//
+// The engine is forward-only: workers read the model's parameters
+// directly, the way concurrent serve workers share one model, and never
+// write to it.
 const shardChunks = 8
 
 // errShardAborted unwinds a worker that was waiting on a peer which
@@ -47,8 +48,8 @@ var errShardAborted = errors.New("models: shard worker aborted")
 // replica cannot make a context shardable.
 var ErrUnshardable = errors.New("models: context not shardable")
 
-// ShardStats reports the traffic and timing of the last Forward (and, when
-// run, Backward) of a ShardEngine. Forward message and byte counts are
+// ShardStats reports the traffic and timing of the last Forward of a
+// ShardEngine. Message and byte counts are
 // logical — one message per (halo boundary, layer), per (duplicate group,
 // non-owner worker, layer, direction), per (edge, non-owner referencing
 // worker, layer, direction) — exactly the granularity
@@ -66,12 +67,8 @@ type ShardStats struct {
 	CollectMessages int64
 	CollectBytes    int64
 
-	BackwardMessages int64
-	BackwardBytes    int64
-
-	// Per-worker wall time of the forward and backward waves, in ns.
-	ForwardNs  []int64
-	BackwardNs []int64
+	// Per-worker wall time of the forward wave, in ns.
+	ForwardNs []int64
 }
 
 // ForwardMessages totals the per-layer exchange messages (halo + duplicate
@@ -88,12 +85,11 @@ func (s ShardStats) ForwardBytes() int64 {
 
 // mcShard is the static plan of one canonical µchunk.
 type mcShard struct {
-	j      int // µchunk index
 	lo, hi int // own working rows [lo, hi)
-	// extLo/extHi is the pair-derived extended row range the µchunk's tape
-	// computes over: own rows plus the sender rows its pairs reach. It is
-	// derived from the pair list only, so it is identical at every worker
-	// count (worker halos are a messaging concern, not a tape concern).
+	// extLo/extHi is the pair-derived extended row range the µchunk's
+	// attention computes over: own rows plus the sender rows its pairs
+	// reach. It is derived from the pair list only, so it is identical at
+	// every worker count (worker halos are a messaging concern only).
 	extLo, extHi int
 
 	pairs []int32 // global pair ids assigned here (receiver in own rows), ascending
@@ -130,14 +126,6 @@ type edgeSendPlan struct {
 	pairs  []int32 // this worker's referencing pairs, ascending
 }
 
-// edgeGradSendPlan schedules one backward edge-gradient fold message: the
-// per-µchunk feature-gradient rows for a remotely-owned edge.
-type edgeGradSendPlan struct {
-	edge   int32
-	ownerW int
-	mcs    []int // this worker's µchunks holding the edge, ascending
-}
-
 // localEdgePlan lists, per worker, which of its µchunks hold an edge's
 // features (for applying one broadcast to every holder).
 type localEdgePlan struct {
@@ -163,93 +151,41 @@ type shardPlan struct {
 
 	edgeOwner      []int32 // edge → owning µchunk
 	edgeRefWorkers [][]int // edge → distinct referencing workers, ascending
-	edgeRefMCs     [][]int // edge → distinct referencing µchunks, ascending
 	pairMC         []int32 // pair → its µchunk
 	pairRow        []int32 // pair → row within its µchunk's pair list
 	edgeIdx        []int32 // the context's global pair→edge map
 
-	wEdgeSend     [][]edgeSendPlan
-	wEdgeGradSend [][]edgeGradSendPlan
-	wLocalEdges   [][]localEdgePlan
+	wEdgeSend   [][]edgeSendPlan
+	wLocalEdges [][]localEdgePlan
 
-	fwdCap, bwdCap []int // exact per-worker incoming message counts per wave
+	inCap []int // exact per-worker incoming message counts per Forward
 }
 
 func (p *shardPlan) mcOfRow(r int) int { return r * shardChunks / p.L }
 func (p *shardPlan) wOfRow(r int) int  { return p.mcW[p.mcOfRow(r)] }
 
-// gtReplica is one µchunk's grad-isolated, data-shared view of the model.
-type gtReplica struct {
-	encNode, encEdge *nn.Embedding
-	layers           []*gtLayer
-}
-
-// replica builds a full parameter replica of m (minus the readout, which
-// only the root tape touches) plus its parameter list in master order.
-func (m *GT) replica() (*gtReplica, []*tensor.Tensor) {
-	r := &gtReplica{encNode: m.enc.node.Replicate(), encEdge: m.enc.edge.Replicate()}
-	params := nn.CollectParams(r.encNode, r.encEdge)
-	for _, l := range m.layers {
-		rl := &gtLayer{
-			q: l.q.Replicate(), k: l.k.Replicate(), v: l.v.Replicate(), o: l.o.Replicate(),
-			we: l.we.Replicate(), oe: l.oe.Replicate(),
-			ffnH1: l.ffnH1.Replicate(), ffnH2: l.ffnH2.Replicate(),
-			ffnE1: l.ffnE1.Replicate(), ffnE2: l.ffnE2.Replicate(),
-			lnH1: l.lnH1.Replicate(), lnH2: l.lnH2.Replicate(),
-			lnE1: l.lnE1.Replicate(), lnE2: l.lnE2.Replicate(),
-		}
-		r.layers = append(r.layers, rl)
-		params = append(params, nn.CollectParams(
-			rl.q, rl.k, rl.v, rl.o, rl.we, rl.oe,
-			rl.ffnH1, rl.ffnH2, rl.ffnE1, rl.ffnE2,
-			rl.lnH1, rl.lnH2, rl.lnE1, rl.lnE2)...)
-	}
-	return r, params
-}
-
-// ShardEngine runs a GT model over a MEGA context split across k chunk
-// workers. Construct once per (model, context, k); Forward/Backward are
-// then called once per training step:
-//
-//	out := eng.Forward()          // bit-identical to model.Forward(ctx)
-//	loss := lossFor(task, out, ctx)
-//	loss.Backward()               // seeds readout + final-embedding grads
-//	eng.Backward()                // shard backward + replica grad fold
-//	opt.Step()
+// ShardEngine runs a GT model's forward over a MEGA context split across k
+// chunk workers. Construct once per (model, context, k); Forward may then
+// be called any number of times and is bit-identical to m.Forward(ctx).
+// Engines and plain m.Forward calls may run concurrently over one model;
+// one engine runs one Forward at a time.
 type ShardEngine struct {
 	model *GT
 	ctx   *Context
 	plan  *shardPlan
 
-	reps         []*gtReplica
-	repParams    [][]*tensor.Tensor
-	masterParams []*tensor.Tensor // non-readout prefix, aligned with repParams
-
 	run *shardRun
 }
 
-// NewShardEngine validates the plan and builds the per-µchunk replicas.
-// ctx must be a MEGA context (built by NewMegaContext*); the engine always
-// uses the staged attention pipeline, which is bit-identical to the fused
-// one.
+// NewShardEngine validates the plan. ctx must be a MEGA context (built by
+// NewMegaContext*); the engine always uses the staged attention pipeline,
+// which is bit-identical to the fused one.
 func NewShardEngine(m *GT, ctx *Context, workers int) (*ShardEngine, error) {
 	plan, err := buildShardPlan(ctx, workers, m.cfg.Dim, len(m.layers), m.cfg.Heads)
 	if err != nil {
 		return nil, err
 	}
-	e := &ShardEngine{model: m, ctx: ctx, plan: plan}
-	for j := 0; j < shardChunks; j++ {
-		rep, params := m.replica()
-		e.reps = append(e.reps, rep)
-		e.repParams = append(e.repParams, params)
-	}
-	all := m.Params()
-	e.masterParams = all[:len(all)-len(m.readout.Params())]
-	if len(e.masterParams) != len(e.repParams[0]) {
-		return nil, fmt.Errorf("models: shard replica has %d params, master %d",
-			len(e.repParams[0]), len(e.masterParams))
-	}
-	return e, nil
+	return &ShardEngine{model: m, ctx: ctx, plan: plan}, nil
 }
 
 // buildShardPlan derives the static chunking, ownership, and messaging
@@ -301,7 +237,7 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 	}
 
 	// Pair assignment: a pair lives with its receiver's µchunk, so each
-	// receiver's softmax group is complete within one tape and local pair
+	// receiver's softmax group is complete within one µchunk and local pair
 	// lists (ascending global id) preserve the kernels' accumulation order.
 	nPairs := len(ctx.RecvIdx)
 	p.pairMC = make([]int32, nPairs)
@@ -334,7 +270,6 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 		}
 	}
 	p.edgeRefWorkers = make([][]int, ctx.NumEdges)
-	p.edgeRefMCs = make([][]int, ctx.NumEdges)
 	for e, refs := range edgeRefPairs {
 		var seenMC [shardChunks]bool
 		for _, pp := range refs {
@@ -342,19 +277,16 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 		}
 		var seenW [shardChunks]bool
 		for j := 0; j < shardChunks; j++ {
-			if seenMC[j] {
-				p.edgeRefMCs[e] = append(p.edgeRefMCs[e], j)
-				if !seenW[p.mcW[j]] {
-					seenW[p.mcW[j]] = true
-					p.edgeRefWorkers[e] = append(p.edgeRefWorkers[e], p.mcW[j])
-				}
+			if seenMC[j] && !seenW[p.mcW[j]] {
+				seenW[p.mcW[j]] = true
+				p.edgeRefWorkers[e] = append(p.edgeRefWorkers[e], p.mcW[j])
 			}
 		}
 	}
 
 	// Per-µchunk shards: extended ranges, local contexts, edge tables.
 	for j := 0; j < shardChunks; j++ {
-		mc := &mcShard{j: j, lo: p.ub[j], hi: p.ub[j+1]}
+		mc := &mcShard{lo: p.ub[j], hi: p.ub[j+1]}
 		mc.extLo, mc.extHi = mc.lo, mc.hi
 		for _, pp := range mcPairs[j] {
 			for _, rr := range [2]int32{ctx.RecvIdx[pp], ctx.SendIdx[pp]} {
@@ -404,7 +336,7 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 		for i, e := range mc.localEdges {
 			mc.edgeTypes[i] = ctx.EdgeTypeIDs[e]
 		}
-		// Localised context for the A1 (attention + node stream) tape.
+		// Localised context for the µchunk's attention + node stream.
 		lctx := &Context{
 			NumRows:  mc.extHi - mc.extLo,
 			NumEdges: len(mc.localEdges),
@@ -485,7 +417,6 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 	// Per-worker send schedules and edge/µchunk holder lists, ascending
 	// edge id for a deterministic schedule.
 	p.wEdgeSend = make([][]edgeSendPlan, workers)
-	p.wEdgeGradSend = make([][]edgeGradSendPlan, workers)
 	p.wLocalEdges = make([][]localEdgePlan, workers)
 	holders := make([][]int, ctx.NumEdges) // edge → µchunks with it in localEdges
 	for j, mc := range p.mcs {
@@ -505,14 +436,7 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 					pairs = append(pairs, pp)
 				}
 			}
-			var mcs []int
-			for _, j := range p.edgeRefMCs[e] {
-				if p.mcW[j] == w {
-					mcs = append(mcs, j)
-				}
-			}
 			p.wEdgeSend[w] = append(p.wEdgeSend[w], edgeSendPlan{edge: e, ownerW: ownerW, pairs: pairs})
-			p.wEdgeGradSend[w] = append(p.wEdgeGradSend[w], edgeGradSendPlan{edge: e, ownerW: ownerW, mcs: mcs})
 		}
 		byW := make(map[int][]int)
 		for _, j := range holders[e] {
@@ -525,10 +449,9 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 		}
 	}
 
-	// Exact per-worker incoming message counts per wave (channel capacity:
-	// with every send buffered, workers can never deadlock on a send).
-	p.fwdCap = make([]int, workers)
-	p.bwdCap = make([]int, workers)
+	// Exact per-worker incoming message counts (channel capacity: with
+	// every send buffered, workers can never deadlock on a send).
+	p.inCap = make([]int, workers)
 	for w := 0; w < workers; w++ {
 		haloIn := 0
 		if w > 0 {
@@ -556,21 +479,7 @@ func buildShardPlan(ctx *Context, workers, dim, layers, heads int) (*shardPlan, 
 			}
 		}
 		edgeBcastIn := len(p.wEdgeSend[w])
-		gradHaloIn := 0
-		if w > 0 {
-			last := p.wMCs[w-1][len(p.wMCs[w-1])-1]
-			if p.mcs[last].extHi > p.wb[w] {
-				gradHaloIn++
-			}
-		}
-		if w < workers-1 {
-			first := p.wMCs[w+1][0]
-			if p.mcs[first].extLo < p.wb[w+1] {
-				gradHaloIn++
-			}
-		}
-		p.fwdCap[w] = layers * (haloIn + syncFoldIn + syncBcastIn + edgeFoldIn + edgeBcastIn)
-		p.bwdCap[w] = layers*(syncFoldIn+syncBcastIn+edgeFoldIn+gradHaloIn) + (layers-1)*edgeBcastIn
+		p.inCap[w] = layers * (haloIn + syncFoldIn + syncBcastIn + edgeFoldIn + edgeBcastIn)
 	}
 	return p, nil
 }
@@ -582,11 +491,6 @@ const (
 	phSyncBcast
 	phEdgeFold
 	phEdgeBcast
-	phGradSyncFold
-	phGradSyncBcast
-	phGradKF
-	phGradHalo
-	phGradEdgeFold
 )
 
 // ShardKey identifies one exchange message: unique per (phase, layer, id,
@@ -628,15 +532,15 @@ type ShardLink interface {
 // deadline); RunShardWorkerForward converts it back into the link's error.
 type shardLinkError struct{ err error }
 
-// mcTape holds one µchunk's per-layer autograd tapes: the A1 tape
-// (attention + node stream over the extended range) and, for owner
-// µchunks, the A2 tape (edge fold + edge stream over owned edges).
-type mcTape struct {
-	hExt, eRep, kmod, hOutPre *tensor.Tensor
-	kf, eOwn, eOut            *tensor.Tensor
+// mcOut holds one µchunk's outputs for the layer in flight: the attention
+// + node stream results over the extended range (kmod per local pair,
+// hOutPre per extended row) and, for owner µchunks, the edge stream
+// output per owned edge. Each µchunk's slot is touched only by its worker.
+type mcOut struct {
+	kmod, hOutPre, eOut []float64
 }
 
-// shardRun is the per-step mutable state of one Forward/Backward pair.
+// shardRun is the mutable state of one Forward.
 type shardRun struct {
 	eng *ShardEngine
 
@@ -651,56 +555,39 @@ type shardRun struct {
 	failOnce sync.Once
 	panicVal any
 
-	hw        [][]float64 // per worker: extended h buffer [bufLo, bufHi)
-	eLoc      [][]float64 // per µchunk: current e rows for localEdges
-	finalH    []float64   // L×d final embeddings (disjoint worker writes)
-	tapes     [][]mcTape  // [µchunk][layer]
-	enc0h     []*tensor.Tensor
-	enc0e     []*tensor.Tensor
-	eGradSeed [][]float64 // per µchunk: d e(ℓ) rows for owned edges
-
-	hFinalLeaf *tensor.Tensor
+	hw     [][]float64 // per worker: extended h buffer [bufLo, bufHi)
+	eLoc   [][]float64 // per µchunk: current e rows for localEdges
+	finalH []float64   // L×d final embeddings (disjoint worker writes)
+	outs   []mcOut     // per µchunk
 
 	haloMsgs, haloBytes       int64
 	syncMsgs, syncBytes       int64
 	edgeMsgs, edgeBytes       int64
 	collectMsgs, collectBytes int64
-	bwdMsgs, bwdBytes         int64
-	fwdNs, bwdNs              []int64
+	fwdNs                     []int64
 }
 
 func newShardRun(e *ShardEngine) *shardRun {
 	p := e.plan
 	r := &shardRun{
-		eng:       e,
-		ch:        make([]chan shardMsg, p.workers),
-		stash:     make([]map[ShardKey][]float64, p.workers),
-		failed:    make(chan struct{}),
-		hw:        make([][]float64, p.workers),
-		eLoc:      make([][]float64, shardChunks),
-		finalH:    make([]float64, p.L*p.dim),
-		tapes:     make([][]mcTape, shardChunks),
-		enc0h:     make([]*tensor.Tensor, shardChunks),
-		enc0e:     make([]*tensor.Tensor, shardChunks),
-		eGradSeed: make([][]float64, shardChunks),
-		fwdNs:     make([]int64, p.workers),
-		bwdNs:     make([]int64, p.workers),
+		eng:    e,
+		ch:     make([]chan shardMsg, p.workers),
+		stash:  make([]map[ShardKey][]float64, p.workers),
+		failed: make(chan struct{}),
+		hw:     make([][]float64, p.workers),
+		eLoc:   make([][]float64, shardChunks),
+		finalH: make([]float64, p.L*p.dim),
+		outs:   make([]mcOut, shardChunks),
+		fwdNs:  make([]int64, p.workers),
 	}
 	for w := 0; w < p.workers; w++ {
-		cap := p.fwdCap[w]
-		if p.bwdCap[w] > cap {
-			cap = p.bwdCap[w]
-		}
-		r.ch[w] = make(chan shardMsg, cap)
+		r.ch[w] = make(chan shardMsg, p.inCap[w])
 		r.stash[w] = make(map[ShardKey][]float64)
 		bufLo, bufHi := r.bufRange(w)
 		r.hw[w] = make([]float64, (bufHi-bufLo)*p.dim)
 	}
 	for j := 0; j < shardChunks; j++ {
-		mc := p.mcs[j]
-		r.eLoc[j] = make([]float64, len(mc.localEdges)*p.dim)
-		r.tapes[j] = make([]mcTape, p.layers)
-		r.eGradSeed[j] = make([]float64, len(mc.ownEdges)*p.dim)
+		r.eLoc[j] = make([]float64, len(p.mcs[j].localEdges)*p.dim)
 	}
 	return r
 }
@@ -783,16 +670,8 @@ func (r *shardRun) rethrow() {
 }
 
 // Forward runs the sharded forward pass and returns the model output,
-// bit-identical to m.Forward(ctx). The returned tensor heads the root tape
-// (final embeddings → readout); calling loss.Backward() on a loss built
-// from it seeds both the master readout gradients and the final-embedding
-// gradients that Backward distributes to the workers.
+// bit-identical to m.Forward(ctx).
 func (e *ShardEngine) Forward() *tensor.Tensor {
-	for _, ps := range e.repParams {
-		for _, p := range ps {
-			p.Grad = nil
-		}
-	}
 	run := newShardRun(e)
 	e.run = run
 	// Best-effort budget accounting for the worker goroutines: nested
@@ -811,59 +690,7 @@ func (e *ShardEngine) Forward() *tensor.Tensor {
 	release()
 	run.rethrow()
 
-	// Root tape: exactly the single engine's readout arithmetic over the
-	// collected final embeddings.
-	ctx := e.ctx
-	hFinal := tensor.New(e.plan.L, e.plan.dim, run.finalH).RequireGrad()
-	run.hFinalLeaf = hFinal
-	nodes := tensor.SegmentMean(hFinal, ctx.posToNode, ctx.numNodeSlots)
-	pooled := tensor.SegmentMean(nodes, ctx.nodeGraph, ctx.NumGraphs)
-	return e.model.readout.Forward(pooled)
-}
-
-// Backward runs the sharded backward pass (the caller must have run
-// loss.Backward() on a loss derived from Forward's output first) and folds
-// every µchunk replica's parameter gradients into the master parameters.
-func (e *ShardEngine) Backward() {
-	run := e.run
-	if run == nil || run.hFinalLeaf == nil {
-		panic("models: ShardEngine.Backward before Forward")
-	}
-	if run.hFinalLeaf.Grad == nil {
-		run.hFinalLeaf.Grad = make([]float64, e.plan.L*e.plan.dim)
-	}
-	_, release := compute.Borrow(e.plan.workers - 1)
-	var wg sync.WaitGroup
-	for w := 0; w < e.plan.workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer run.guard(&run.bwdNs[w])()
-			run.workerBackward(w)
-		}(w)
-	}
-	wg.Wait()
-	release()
-	run.rethrow()
-
-	// Fold replica gradients into the masters, ascending µchunk, allocating
-	// a master gradient only when some replica produced one — parameters
-	// the loss cannot reach (the last layer's edge stream) keep nil grads,
-	// so the optimiser skips them exactly as it does for the single engine.
-	for pi, mp := range e.masterParams {
-		for _, ps := range e.repParams {
-			g := ps[pi].Grad
-			if g == nil {
-				continue
-			}
-			if mp.Grad == nil {
-				mp.Grad = make([]float64, len(mp.Data))
-			}
-			for i := range g {
-				mp.Grad[i] += g[i]
-			}
-		}
-	}
+	return e.model.readoutFinal(e.ctx, run.finalH)
 }
 
 // FinalEmbeddings returns the final-layer path embeddings (NumRows×dim,
@@ -882,8 +709,8 @@ func (e *ShardEngine) WorkerBounds() []int {
 	return append([]int(nil), e.plan.wb...)
 }
 
-// Stats reports the traffic and timing of the current run (valid after
-// Forward returns; backward fields populate after Backward).
+// Stats reports the traffic and timing of the last Forward (valid after it
+// returns).
 func (e *ShardEngine) Stats() ShardStats {
 	r := e.run
 	s := ShardStats{Workers: e.plan.workers}
@@ -898,10 +725,7 @@ func (e *ShardEngine) Stats() ShardStats {
 	s.EdgeBytes = atomic.LoadInt64(&r.edgeBytes)
 	s.CollectMessages = atomic.LoadInt64(&r.collectMsgs)
 	s.CollectBytes = atomic.LoadInt64(&r.collectBytes)
-	s.BackwardMessages = atomic.LoadInt64(&r.bwdMsgs)
-	s.BackwardBytes = atomic.LoadInt64(&r.bwdBytes)
 	s.ForwardNs = append([]int64(nil), r.fwdNs...)
-	s.BackwardNs = append([]int64(nil), r.bwdNs...)
 	return s
 }
 
@@ -922,24 +746,20 @@ func (r *shardRun) workerForward(w int) {
 		copy(out, hw[(a-bufLo)*d:(b-bufLo)*d])
 		return out
 	}
-	// hOutPre value of an own row in the current layer's tapes.
-	preRow := func(rr, l int) []float64 {
+	// hOutPre value of an own row in the current layer.
+	preRow := func(rr int) []float64 {
 		j := p.mcOfRow(rr)
-		t := &r.tapes[j][l]
 		off := (rr - p.mcs[j].extLo) * d
-		return t.hOutPre.Data[off : off+d]
+		return r.outs[j].hOutPre[off : off+d]
 	}
 
-	// Layer-1 inputs: encoder replicas over own rows / local edges.
+	// Layer-1 inputs: the encoder over own rows / local edges.
+	enc := e.model.enc
 	for _, j := range p.wMCs[w] {
 		mc := p.mcs[j]
-		rep := e.reps[j]
-		hEnc := tensor.EmbedRows(rep.encNode.Table, mc.nodeIDs)
-		r.enc0h[j] = hEnc
+		hEnc := tensor.EmbedRows(enc.node.Table, mc.nodeIDs)
 		copy(hw[(mc.lo-bufLo)*d:(mc.hi-bufLo)*d], hEnc.Data)
-		eEnc := tensor.EmbedRows(rep.encEdge.Table, mc.edgeTypes)
-		r.enc0e[j] = eEnc
-		copy(r.eLoc[j], eEnc.Data)
+		copy(r.eLoc[j], tensor.EmbedRows(enc.edge.Table, mc.edgeTypes).Data)
 	}
 
 	for l := 0; l < p.layers; l++ {
@@ -957,20 +777,18 @@ func (r *shardRun) workerForward(w int) {
 			copy(hw[(hi-bufLo)*d:(hi+p.omega-bufLo)*d], r.recv(w, mkey(phHalo, l, 0, w+1)))
 		}
 
-		// Phase 2: A1 tape per µchunk — attention + node stream over the
-		// extended range. Halo-row outputs are garbage and discarded; every
-		// op is row-local so they cannot contaminate own rows.
+		// Phase 2: attention + node stream per µchunk over the extended
+		// range. Halo-row outputs are garbage and discarded; every op is
+		// row-local so they cannot contaminate own rows. The inputs view hw
+		// and eLoc directly: nothing writes either until this phase ends.
+		lay := e.model.layers[l]
 		for _, j := range p.wMCs[w] {
 			mc := p.mcs[j]
-			ext := make([]float64, (mc.extHi-mc.extLo)*d)
-			copy(ext, hw[(mc.extLo-bufLo)*d:(mc.extHi-bufLo)*d])
-			hExt := tensor.New(mc.extHi-mc.extLo, d, ext).RequireGrad()
-			eRep := tensor.New(len(mc.localEdges), d, append([]float64(nil), r.eLoc[j]...)).RequireGrad()
-			lay := e.reps[j].layers[l]
+			hExt := tensor.New(mc.extHi-mc.extLo, d, hw[(mc.extLo-bufLo)*d:(mc.extHi-bufLo)*d])
+			eRep := tensor.New(len(mc.localEdges), d, r.eLoc[j])
 			att, kmod := lay.forwardAttnStaged(mc.lctx, hExt, eRep, p.heads)
-			hOutPre := lay.nodeStream(mc.lctx, hExt, att)
-			t := &r.tapes[j][l]
-			t.hExt, t.eRep, t.kmod, t.hOutPre = hExt, eRep, kmod, hOutPre
+			r.outs[j].kmod = kmod.Data
+			r.outs[j].hOutPre = lay.nodeStream(mc.lctx, hExt, att).Data
 		}
 
 		// Phase 3: duplicate-group synchronisation → h(ℓ+1) own rows.
@@ -986,7 +804,7 @@ func (r *shardRun) workerForward(w int) {
 			}
 			data := make([]float64, len(mine)*d)
 			for i, rr := range mine {
-				copy(data[i*d:(i+1)*d], preRow(int(rr), l))
+				copy(data[i*d:(i+1)*d], preRow(int(rr)))
 			}
 			r.send(g.ownerW, mkey(phSyncFold, l, gi, w), data, &r.syncMsgs, &r.syncBytes)
 		}
@@ -1005,7 +823,7 @@ func (r *shardRun) workerForward(w int) {
 			for _, rr := range g.members {
 				var src []float64
 				if mw := p.wOfRow(int(rr)); mw == w {
-					src = preRow(int(rr), l)
+					src = preRow(int(rr))
 				} else {
 					i := used[mw]
 					src = remote[mw][i*d : (i+1)*d]
@@ -1041,7 +859,7 @@ func (r *shardRun) workerForward(w int) {
 			if p.rowGroup[rr] >= 0 {
 				continue
 			}
-			src := preRow(rr, l)
+			src := preRow(rr)
 			dst := row(rr)
 			if p.syncActive {
 				// Mirror SegmentMean+Gather on a singleton segment: the
@@ -1062,11 +880,11 @@ func (r *shardRun) workerForward(w int) {
 			data := make([]float64, len(ef.pairs)*d)
 			for i, pp := range ef.pairs {
 				j, rw := int(p.pairMC[pp]), int(p.pairRow[pp])
-				copy(data[i*d:(i+1)*d], r.tapes[j][l].kmod.Data[rw*d:(rw+1)*d])
+				copy(data[i*d:(i+1)*d], r.outs[j].kmod[rw*d:(rw+1)*d])
 			}
 			r.send(ef.ownerW, mkey(phEdgeFold, l, int(ef.edge), w), data, &r.edgeMsgs, &r.edgeBytes)
 		}
-		// Phase 5: A2 tape per owner µchunk — assemble the fold matrix in
+		// Phase 5: edge stream per owner µchunk — assemble the fold matrix in
 		// ascending global pair order, SegmentMean per owned edge (the
 		// single engine's EdgeMean bit for bit), then the edge stream.
 		for _, j := range p.wMCs[w] {
@@ -1081,7 +899,7 @@ func (r *shardRun) workerForward(w int) {
 				srcMC := int(p.pairMC[pp])
 				if srcW := p.mcW[srcMC]; srcW == w {
 					rw := int(p.pairRow[pp])
-					copy(kf[i*d:(i+1)*d], r.tapes[srcMC][l].kmod.Data[rw*d:(rw+1)*d])
+					copy(kf[i*d:(i+1)*d], r.outs[srcMC].kmod[rw*d:(rw+1)*d])
 				} else {
 					e := p.edgeIdx[pp]
 					rk := [2]int32{e, int32(srcW)}
@@ -1095,17 +913,14 @@ func (r *shardRun) workerForward(w int) {
 					used[rk] = ui + 1
 				}
 			}
-			kfLeaf := tensor.New(len(mc.foldPairs), d, kf).RequireGrad()
-			eAvg := tensor.SegmentMean(kfLeaf, mc.foldSeg, len(mc.ownEdges))
+			eAvg := tensor.SegmentMean(tensor.New(len(mc.foldPairs), d, kf), mc.foldSeg, len(mc.ownEdges))
 			eOwnData := make([]float64, len(mc.ownEdges)*d)
 			for i, ee := range mc.ownEdges {
 				li := mc.edgeLocal[ee]
 				copy(eOwnData[i*d:(i+1)*d], r.eLoc[j][li*d:(li+1)*d])
 			}
-			eOwn := tensor.New(len(mc.ownEdges), d, eOwnData).RequireGrad()
-			eOut := e.reps[j].layers[l].edgeStream(&Context{}, eOwn, eAvg)
-			t := &r.tapes[j][l]
-			t.kf, t.eOwn, t.eOut = kfLeaf, eOwn, eOut
+			eOwn := tensor.New(len(mc.ownEdges), d, eOwnData)
+			r.outs[j].eOut = lay.edgeStream(&Context{}, eOwn, eAvg).Data
 		}
 		// Phase 6: broadcast owned-edge outputs to referencing workers and
 		// refresh every local edge table for the next layer.
@@ -1116,7 +931,7 @@ func (r *shardRun) workerForward(w int) {
 					if rw == w {
 						continue
 					}
-					out := r.tapes[j][l].eOut.Data[oi*d : (oi+1)*d]
+					out := r.outs[j].eOut[oi*d : (oi+1)*d]
 					r.send(rw, mkey(phEdgeBcast, l, int(ee), w),
 						append([]float64(nil), out...), &r.edgeMsgs, &r.edgeBytes)
 				}
@@ -1133,7 +948,7 @@ func (r *shardRun) workerForward(w int) {
 						break
 					}
 				}
-				src = r.tapes[jo][l].eOut.Data[oi*d : (oi+1)*d]
+				src = r.outs[jo].eOut[oi*d : (oi+1)*d]
 			} else {
 				src = r.recv(w, mkey(phEdgeBcast, l, int(le.edge), ow))
 			}
@@ -1148,320 +963,6 @@ func (r *shardRun) workerForward(w int) {
 	copy(r.finalH[lo*d:hi*d], hw[(lo-bufLo)*d:(hi-bufLo)*d])
 	atomic.AddInt64(&r.collectMsgs, 1)
 	atomic.AddInt64(&r.collectBytes, int64((hi-lo)*d*8))
-}
-
-// gradRows returns t.Grad, or a shared zero buffer when the tape never
-// reached t (read-only use).
-func gradRows(t *tensor.Tensor) []float64 {
-	if t.Grad != nil {
-		return t.Grad
-	}
-	return make([]float64, t.Size())
-}
-
-// workerBackward runs worker w's backward wave, mirroring the forward
-// phases in reverse with the same owner/raw-row fold discipline.
-func (r *shardRun) workerBackward(w int) {
-	e := r.eng
-	p := e.plan
-	d := p.dim
-	layers := p.layers
-	lo, hi := p.wb[w], p.wb[w+1]
-	n := hi - lo
-
-	// gNext holds ∂loss/∂h(ℓ+1) for own rows (post-sync embeddings).
-	gNext := make([]float64, n*d)
-	copy(gNext, r.hFinalLeaf.Grad[lo*d:hi*d])
-	gPre := make([]float64, n*d)
-
-	for l := layers - 1; l >= 0; l-- {
-		// Phase 1: duplicate-sync backward — owner folds RAW member grad
-		// rows ascending from zero, broadcasts the node grad, every member
-		// row gets gnode·inv (GatherRows∘SegmentMean backward, exactly).
-		for gi, g := range p.groups {
-			if g.ownerW == w {
-				continue
-			}
-			mine := g.byWorker[w]
-			if len(mine) == 0 {
-				continue
-			}
-			data := make([]float64, len(mine)*d)
-			for i, rr := range mine {
-				copy(data[i*d:(i+1)*d], gNext[(int(rr)-lo)*d:(int(rr)-lo+1)*d])
-			}
-			r.send(g.ownerW, mkey(phGradSyncFold, l, gi, w), data, &r.bwdMsgs, &r.bwdBytes)
-		}
-		gnodes := make(map[int][]float64)
-		for gi, g := range p.groups {
-			if g.ownerW != w {
-				continue
-			}
-			remote := make(map[int][]float64)
-			used := make(map[int]int)
-			for _, ow := range g.workers {
-				if ow != w {
-					remote[ow] = r.recv(w, mkey(phGradSyncFold, l, gi, ow))
-				}
-			}
-			gnode := make([]float64, d)
-			for _, rr := range g.members {
-				var src []float64
-				if mw := p.wOfRow(int(rr)); mw == w {
-					src = gNext[(int(rr)-lo)*d : (int(rr)-lo+1)*d]
-				} else {
-					i := used[mw]
-					src = remote[mw][i*d : (i+1)*d]
-					used[mw] = i + 1
-				}
-				for c := 0; c < d; c++ {
-					gnode[c] += src[c]
-				}
-			}
-			for _, ow := range g.workers {
-				if ow != w {
-					r.send(ow, mkey(phGradSyncBcast, l, gi, w),
-						append([]float64(nil), gnode...), &r.bwdMsgs, &r.bwdBytes)
-				}
-			}
-			gnodes[gi] = gnode
-		}
-		for gi, g := range p.groups {
-			if len(g.byWorker[w]) == 0 {
-				continue
-			}
-			gnode := gnodes[gi]
-			if gnode == nil {
-				gnode = r.recv(w, mkey(phGradSyncBcast, l, gi, g.ownerW))
-			}
-			for _, rr := range g.byWorker[w] {
-				dst := gPre[(int(rr)-lo)*d : (int(rr)-lo+1)*d]
-				for c := 0; c < d; c++ {
-					dst[c] = 0.0 + gnode[c]*g.inv
-				}
-			}
-		}
-		for rr := lo; rr < hi; rr++ {
-			if p.rowGroup[rr] >= 0 {
-				continue
-			}
-			src := gNext[(rr-lo)*d : (rr-lo+1)*d]
-			dst := gPre[(rr-lo)*d : (rr-lo+1)*d]
-			if p.syncActive {
-				for c := 0; c < d; c++ {
-					s := 0.0 + src[c]
-					dst[c] = 0.0 + s*1.0
-				}
-			} else {
-				copy(dst, src)
-			}
-		}
-
-		// Phase 2: A2 backward (skipped at the last layer, whose edge
-		// stream the loss cannot reach — matching the single engine, where
-		// those parameters receive no gradient), then route the fold-matrix
-		// grads back to each pair's µchunk as kmod pre-seeds.
-		if l < layers-1 {
-			for _, j := range p.wMCs[w] {
-				mc := p.mcs[j]
-				if len(mc.ownEdges) == 0 {
-					continue
-				}
-				t := &r.tapes[j][l]
-				t.eOut.Grad = append([]float64(nil), r.eGradSeed[j]...)
-				tensor.BackwardFrom(t.eOut)
-				kfGrad := gradRows(t.kf)
-				type route struct {
-					rows []float64
-				}
-				pend := make(map[[2]int32]*route)
-				var order [][2]int32
-				for i, pp := range mc.foldPairs {
-					srcMC := int(p.pairMC[pp])
-					grow := kfGrad[i*d : (i+1)*d]
-					if srcW := p.mcW[srcMC]; srcW == w {
-						kmod := r.tapes[srcMC][l].kmod
-						if kmod.Grad == nil {
-							kmod.Grad = make([]float64, kmod.Size())
-						}
-						rw := int(p.pairRow[pp])
-						dst := kmod.Grad[rw*d : (rw+1)*d]
-						for c := 0; c < d; c++ {
-							dst[c] += grow[c]
-						}
-					} else {
-						rk := [2]int32{p.edgeIdx[pp], int32(srcW)}
-						rt := pend[rk]
-						if rt == nil {
-							rt = &route{}
-							pend[rk] = rt
-							order = append(order, rk)
-						}
-						rt.rows = append(rt.rows, grow...)
-					}
-				}
-				for _, rk := range order {
-					r.send(int(rk[1]), mkey(phGradKF, l, int(rk[0]), w),
-						pend[rk].rows, &r.bwdMsgs, &r.bwdBytes)
-				}
-			}
-			for _, ef := range p.wEdgeSend[w] {
-				data := r.recv(w, mkey(phGradKF, l, int(ef.edge), ef.ownerW))
-				for i, pp := range ef.pairs {
-					j, rw := int(p.pairMC[pp]), int(p.pairRow[pp])
-					kmod := r.tapes[j][l].kmod
-					if kmod.Grad == nil {
-						kmod.Grad = make([]float64, kmod.Size())
-					}
-					dst := kmod.Grad[rw*d : (rw+1)*d]
-					for c := 0; c < d; c++ {
-						dst[c] += data[i*d+c]
-					}
-				}
-			}
-		}
-
-		// Phase 3: A1 backward per µchunk, with kmod pre-seeded.
-		for _, j := range p.wMCs[w] {
-			mc := p.mcs[j]
-			t := &r.tapes[j][l]
-			t.hOutPre.Grad = make([]float64, t.hOutPre.Size())
-			copy(t.hOutPre.Grad[(mc.lo-mc.extLo)*d:(mc.hi-mc.extLo)*d], gPre[(mc.lo-lo)*d:(mc.hi-lo)*d])
-			tensor.BackwardFrom(t.hOutPre)
-		}
-
-		// Phase 4: halo-gradient exchange over the ACTUAL extended ranges
-		// (never dense ω rows — structural zeros would flip -0.0 signs),
-		// then fold h(ℓ) grads per own row, ascending contributing µchunk.
-		if w > 0 {
-			mc := p.mcs[p.wMCs[w][0]]
-			if mc.extLo < lo {
-				g := gradRows(r.tapes[mc.j][l].hExt)
-				r.send(w-1, mkey(phGradHalo, l, 0, w),
-					append([]float64(nil), g[:(lo-mc.extLo)*d]...), &r.bwdMsgs, &r.bwdBytes)
-			}
-		}
-		if w < p.workers-1 {
-			mc := p.mcs[p.wMCs[w][len(p.wMCs[w])-1]]
-			if mc.extHi > hi {
-				g := gradRows(r.tapes[mc.j][l].hExt)
-				off := (hi - mc.extLo) * d
-				r.send(w+1, mkey(phGradHalo, l, 0, w),
-					append([]float64(nil), g[off:off+(mc.extHi-hi)*d]...), &r.bwdMsgs, &r.bwdBytes)
-			}
-		}
-		var fromLeft, fromRight []float64
-		if w > 0 {
-			last := p.wMCs[w-1][len(p.wMCs[w-1])-1]
-			if p.mcs[last].extHi > lo {
-				fromLeft = r.recv(w, mkey(phGradHalo, l, 0, w-1)) // rows [lo, extHi(last))
-			}
-		}
-		var rightBase int
-		if w < p.workers-1 {
-			first := p.wMCs[w+1][0]
-			if p.mcs[first].extLo < hi {
-				fromRight = r.recv(w, mkey(phGradHalo, l, 0, w+1)) // rows [extLo(first), hi)
-				rightBase = p.mcs[first].extLo
-			}
-		}
-		gH := make([]float64, n*d)
-		for rr := lo; rr < hi; rr++ {
-			j := p.mcOfRow(rr)
-			dst := gH[(rr-lo)*d : (rr-lo+1)*d]
-			for _, jq := range [3]int{j - 1, j, j + 1} {
-				if jq < 0 || jq >= shardChunks {
-					continue
-				}
-				mq := p.mcs[jq]
-				if rr < mq.extLo || rr >= mq.extHi {
-					continue
-				}
-				var src []float64
-				switch {
-				case p.mcW[jq] == w:
-					src = gradRows(r.tapes[jq][l].hExt)[(rr-mq.extLo)*d:]
-				case jq < j:
-					src = fromLeft[(rr-lo)*d:]
-				default:
-					src = fromRight[(rr-rightBase)*d:]
-				}
-				for c := 0; c < d; c++ {
-					dst[c] += src[c]
-				}
-			}
-		}
-
-		// Phase 5: edge-gradient fold — referencing µchunks' feature-grad
-		// rows ascending µchunk, then the owner's A2 residual contribution,
-		// seeding the previous layer's edge stream (or the encoder at ℓ=1).
-		for _, eg := range p.wEdgeGradSend[w] {
-			data := make([]float64, len(eg.mcs)*d)
-			for i, j := range eg.mcs {
-				li := p.mcs[j].edgeLocal[eg.edge]
-				g := gradRows(r.tapes[j][l].eRep)
-				copy(data[i*d:(i+1)*d], g[li*d:(li+1)*d])
-			}
-			r.send(eg.ownerW, mkey(phGradEdgeFold, l, int(eg.edge), w), data, &r.bwdMsgs, &r.bwdBytes)
-		}
-		for _, j := range p.wMCs[w] {
-			mc := p.mcs[j]
-			seed := r.eGradSeed[j]
-			for i := range seed {
-				seed[i] = 0
-			}
-			remote := make(map[[2]int32][]float64)
-			used := make(map[[2]int32]int)
-			for oi, ee := range mc.ownEdges {
-				dst := seed[oi*d : (oi+1)*d]
-				for _, jq := range p.edgeRefMCs[ee] {
-					var src []float64
-					if wq := p.mcW[jq]; wq == w {
-						li := p.mcs[jq].edgeLocal[ee]
-						src = gradRows(r.tapes[jq][l].eRep)[li*d:]
-					} else {
-						rk := [2]int32{ee, int32(wq)}
-						data, ok := remote[rk]
-						if !ok {
-							data = r.recv(w, mkey(phGradEdgeFold, l, int(ee), wq))
-							remote[rk] = data
-						}
-						ui := used[rk]
-						src = data[ui*d:]
-						used[rk] = ui + 1
-					}
-					for c := 0; c < d; c++ {
-						dst[c] += src[c]
-					}
-				}
-				if l < layers-1 && len(mc.ownEdges) > 0 {
-					src := gradRows(r.tapes[j][l].eOwn)[oi*d:]
-					for c := 0; c < d; c++ {
-						dst[c] += src[c]
-					}
-				}
-			}
-		}
-
-		gNext, gH = gH, gNext
-		_ = gH
-	}
-
-	// Encoder backward: gNext now carries ∂loss/∂h(1); the edge seeds
-	// carry ∂loss/∂e(1) at each owner µchunk.
-	for _, j := range p.wMCs[w] {
-		mc := p.mcs[j]
-		hEnc := r.enc0h[j]
-		hEnc.Grad = append([]float64(nil), gNext[(mc.lo-lo)*d:(mc.hi-lo)*d]...)
-		tensor.BackwardFrom(hEnc)
-		eEnc := r.enc0e[j]
-		eEnc.Grad = make([]float64, eEnc.Size())
-		for oi, ee := range mc.ownEdges {
-			li := mc.edgeLocal[ee]
-			copy(eEnc.Grad[li*d:(li+1)*d], r.eGradSeed[j][oi*d:(oi+1)*d])
-		}
-		tensor.BackwardFrom(eEnc)
-	}
 }
 
 // ShardWorkerResult is one worker's share of a distributed forward: its
@@ -1528,7 +1029,7 @@ func RunShardWorkerForward(m *GT, ctx *Context, workers, w int, link ShardLink) 
 
 // ReadoutFromFinal applies the readout tail — SegmentMean over node slots,
 // SegmentMean over member graphs, readout head — to externally assembled
-// final embeddings (NumRows×dim row-major). It is exactly the root tape of
+// final embeddings (NumRows×dim row-major). It is exactly the tail of
 // ShardEngine.Forward, so feeding it the rows collected from a distributed
 // run yields output bit-identical to m.Forward(ctx).
 func (m *GT) ReadoutFromFinal(ctx *Context, finalH []float64) (*tensor.Tensor, error) {
@@ -1539,8 +1040,14 @@ func (m *GT) ReadoutFromFinal(ctx *Context, finalH []float64) (*tensor.Tensor, e
 		return nil, fmt.Errorf("models: final embeddings have %d values, want %d×%d",
 			len(finalH), ctx.NumRows, m.cfg.Dim)
 	}
+	return m.readoutFinal(ctx, finalH), nil
+}
+
+// readoutFinal is ReadoutFromFinal without the checks: the single engine's
+// readout arithmetic over a MEGA context's final embeddings.
+func (m *GT) readoutFinal(ctx *Context, finalH []float64) *tensor.Tensor {
 	hFinal := tensor.New(ctx.NumRows, m.cfg.Dim, finalH)
 	nodes := tensor.SegmentMean(hFinal, ctx.posToNode, ctx.numNodeSlots)
 	pooled := tensor.SegmentMean(nodes, ctx.nodeGraph, ctx.NumGraphs)
-	return m.readout.Forward(pooled), nil
+	return m.readout.Forward(pooled)
 }

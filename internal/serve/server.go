@@ -344,18 +344,14 @@ func New(model models.Model, meta train.Checkpoint, opts Options) (*Server, erro
 		arena:        tensor.NewArena(),
 		shutdownDone: make(chan struct{}),
 	}
-	s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(from, to BreakerState) {
+	onTransition := func(from, to BreakerState) {
 		s.metrics.breakerTransitions.Add(1)
 		if to == BreakerOpen {
 			s.metrics.breakerOpens.Add(1)
 		}
-	})
-	s.distBreaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, func(from, to BreakerState) {
-		s.metrics.breakerTransitions.Add(1)
-		if to == BreakerOpen {
-			s.metrics.breakerOpens.Add(1)
-		}
-	})
+	}
+	s.breaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, onTransition)
+	s.distBreaker = newBreaker(opts.BreakerThreshold, opts.BreakerCooldown, onTransition)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -552,22 +548,31 @@ func (s *Server) PredictCtx(ctx context.Context, inst datasets.Instance) (Predic
 	case out := <-p.done:
 		s.metrics.total.observe(time.Since(start))
 		if out.err != nil {
-			s.metrics.errors.Add(1)
-			return Prediction{}, out.err
+			return Prediction{}, s.countFailure(out.err)
 		}
 		return out.pred, nil
 	case <-ctx.Done():
 		// The worker may still answer into the buffered channel; the
 		// caller stops waiting now. Workers drop expired requests before
 		// forwarding, so an abandoned request does not burn a pass.
-		s.metrics.errors.Add(1)
-		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-			s.metrics.deadlineExceeded.Add(1)
-		} else {
-			s.metrics.canceled.Add(1)
-		}
-		return Prediction{}, fmt.Errorf("serve: request abandoned: %w", ctx.Err())
+		return Prediction{}, s.countFailure(fmt.Errorf("serve: request abandoned: %w", ctx.Err()))
 	}
+}
+
+// countFailure counts a request that failed with err and returns err. A
+// caller's deadline or cancellation is classified from the error itself,
+// not from which select branch saw it: a request whose context is already
+// done can be answered by a worker ("expired in queue") before the
+// ctx.Done branch fires, and both paths must count it the same way.
+func (s *Server) countFailure(err error) error {
+	s.metrics.errors.Add(1)
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		s.metrics.deadlineExceeded.Add(1)
+	case errors.Is(err, context.Canceled):
+		s.metrics.canceled.Add(1)
+	}
+	return err
 }
 
 // requestContext applies the server's deadline policy: the caller's

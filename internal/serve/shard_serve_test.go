@@ -58,8 +58,7 @@ func TestShardedServingMatchesUnsharded(t *testing.T) {
 // TestShardFallbackCounterOnShortPath forces the unshardable case: a
 // triangle's 3-row path cannot be cut into 8 µchunks, so a shard-eligible
 // batch over it must fall back to the monolithic engine and count a
-// shard_fallbacks on /metrics — the serving mirror of
-// train.Result.ShardFallbacks.
+// shard_fallbacks on /metrics, so the fallback is never silent.
 func TestShardFallbackCounterOnShortPath(t *testing.T) {
 	s, _, _ := trainedServer(t, Options{
 		MaxBatch: 1, ShardWorkers: 2, ShardVertexThreshold: 1,

@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"os"
 	"time"
 
@@ -70,17 +69,6 @@ type Options struct {
 	// Optimiser moments are not checkpointed: the resumed run restarts
 	// Adam at the loaded parameters.
 	Resume bool
-	// Shards enables shard-parallel execution of the MEGA engine: each
-	// training batch runs forward and backward across Shards chunk
-	// workers (GT + EngineMega only; Shards must divide 8). The training
-	// trajectory is bit-identical at every Shards value >= 1 — Shards=1
-	// runs the same chunked engine on one worker — but differs from the
-	// Shards=0 monolithic path, whose gradient reductions accumulate in
-	// a different (equally valid) order. Contexts the planner rejects
-	// (path shorter than 8 chunks, window wider than a chunk) fall back
-	// to the monolithic path; the fallback is worker-count-independent,
-	// so trajectories stay comparable across Shards values. 0 disables.
-	Shards int
 }
 
 func (o Options) withDefaults() Options {
@@ -157,16 +145,6 @@ type Result struct {
 	// QuarantinedCheckpoints counts corrupt files quarantined while
 	// resuming.
 	QuarantinedCheckpoints int
-	// ShardFallbacks counts training contexts the shard planner rejected
-	// (path too short to cut into µchunks); those contexts trained through
-	// the monolithic path instead. Only meaningful when Options.Shards > 0.
-	ShardFallbacks int
-	// ShardFallbackReasons breaks ShardFallbacks down by cause, mirroring
-	// serve's shard_fallback_reasons taxonomy: "unshardable" for
-	// structural rejections (models.ErrUnshardable — path too short, band
-	// wider than a µchunk), "error" for anything else. nil when nothing
-	// fell back.
-	ShardFallbackReasons map[string]int
 }
 
 // FinalMetric returns the last epoch's validation metric.
@@ -237,23 +215,6 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 		}
 	}
 
-	// Sharded execution: validated here, after any checkpoint resume, so
-	// shardGT always points at the model that will actually train.
-	var shardGT *models.GT
-	if opts.Shards > 0 {
-		if opts.Engine != models.EngineMega {
-			return nil, fmt.Errorf("train: sharded execution requires the MEGA engine")
-		}
-		if opts.Profile {
-			return nil, fmt.Errorf("train: sharded execution does not support profiling")
-		}
-		gt, ok := model.(*models.GT)
-		if !ok {
-			return nil, fmt.Errorf("train: sharded execution requires the GT model, got %s", opts.Model)
-		}
-		shardGT = gt
-	}
-
 	var sim *gpusim.Sim
 	if opts.Profile {
 		sim = gpusim.New(gpusim.GTX1080())
@@ -272,50 +233,11 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Per-context shard engines, built once and reused every epoch (the
-	// plan and parameter replicas are static; only tapes are per-step).
-	// A context the planner rejects keeps a nil engine and trains through
-	// the monolithic path — the rejection criteria are chunk-level, so a
-	// context falls back identically at every worker count.
-	var shardEngines []*models.ShardEngine
-	shardFallbacks := 0
-	var shardFallbackReasons map[string]int
-	if shardGT != nil {
-		shardEngines = make([]*models.ShardEngine, len(trainCtxs))
-		var fallbackErr error
-		for i, ctx := range trainCtxs {
-			if eng, err := models.NewShardEngine(shardGT, ctx, opts.Shards); err == nil {
-				shardEngines[i] = eng
-			} else {
-				shardFallbacks++
-				fallbackErr = err
-				reason := "error"
-				if errors.Is(err, models.ErrUnshardable) {
-					reason = "unshardable"
-				}
-				if shardFallbackReasons == nil {
-					shardFallbackReasons = make(map[string]int)
-				}
-				shardFallbackReasons[reason]++
-			}
-		}
-		if shardFallbacks > 0 {
-			// One line for the whole run, not one per context: the
-			// rejection criteria are chunk-level and static, so every epoch
-			// would repeat the same message. The reasons map mirrors serve's
-			// shard_fallback_reasons so the fallback is never silent.
-			log.Printf("train: %d/%d contexts fell back to the monolithic engine (shards=%d, reasons=%v): %v",
-				shardFallbacks, len(trainCtxs), opts.Shards, shardFallbackReasons, fallbackErr)
-		}
-	}
-
 	opt := nn.NewAdam(model.Params(), opts.LR)
 	res := &Result{
 		Sim: sim, Params: opt.NumParams(), Task: ds.Task,
 		Model: model, ModelName: opts.Model, Config: cfg,
 		QuarantinedCheckpoints: quarantined,
-		ShardFallbacks:         shardFallbacks,
-		ShardFallbackReasons:   shardFallbackReasons,
 	}
 	if startEpoch > 1 {
 		res.ResumedEpoch = startEpoch - 1
@@ -328,18 +250,9 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 	start := time.Now()
 	for epoch := startEpoch; epoch <= opts.Epochs; epoch++ {
 		trainLoss := 0.0
-		for i, ctx := range trainCtxs {
+		for _, ctx := range trainCtxs {
 			opt.ZeroGrad()
-			var eng *models.ShardEngine
-			if shardEngines != nil {
-				eng = shardEngines[i]
-			}
-			var out *tensor.Tensor
-			if eng != nil {
-				out = eng.Forward()
-			} else {
-				out = model.Forward(ctx)
-			}
+			out := model.Forward(ctx)
 			loss := lossFor(ds.Task, out, ctx)
 			if !loss.IsFinite() {
 				// Divergence guard: a NaN/Inf loss poisons every later
@@ -348,12 +261,6 @@ func Run(ds *datasets.Dataset, opts Options) (*Result, error) {
 				return res, nil
 			}
 			loss.Backward()
-			if eng != nil {
-				// loss.Backward seeded the readout and final-embedding
-				// gradients; the shard workers now push them through the
-				// layers and fold replica gradients into the model.
-				eng.Backward()
-			}
 			ctx.Prof.Backward()
 			opt.Step()
 			trainLoss += loss.Item()
